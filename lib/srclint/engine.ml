@@ -1,4 +1,4 @@
-(* The static pass proper: one Parsetree traversal per file, five rule
+(* The static pass proper: one Parsetree traversal per file, six rule
    classes, everything syntactic and conservative.  compiler-libs
    ships with the compiler, so this adds no external dependency.
 
@@ -108,6 +108,17 @@ let is_mutation n =
   n = "<-" || List.mem n mutable_idents || List.exists (fun p -> starts_with ~prefix:p n) mutable_prefixes
 
 let is_sync n = List.exists (fun p -> starts_with ~prefix:p n) sync_prefixes
+
+(* --- rule 6: top-level lazy values ------------------------------------------ *)
+
+(* A module-level binding whose value is a suspension: [lazy e] or
+   [Lazy.from_fun f], under any type constraints. *)
+let rec is_suspension e =
+  match e.pexp_desc with
+  | Pexp_lazy _ -> true
+  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> is_suspension e
+  | Pexp_apply (f, _) -> head f = Some "Lazy.from_fun"
+  | _ -> false
 
 (* --- rule 4: exception message strings ------------------------------------ *)
 
@@ -227,11 +238,26 @@ let analyze structure =
         | _ -> Ast_iterator.default_iterator.expr it e)
     | _ -> Ast_iterator.default_iterator.expr it e
   in
+  let structure_item_iter (it : Ast_iterator.iterator) item =
+    (match item.pstr_desc with
+    | Pstr_value (_, bindings) ->
+        List.iter
+          (fun vb ->
+            if is_suspension vb.pvb_expr then
+              emit (line_of vb.pvb_expr.pexp_loc) Rule.Toplevel_lazy
+                "top-level lazy value — two domains forcing it at once raise CamlinternalLazy.Undefined; compute \
+                 it eagerly at module initialisation")
+          bindings
+    | _ -> ());
+    Ast_iterator.default_iterator.structure_item it item
+  in
   let pat_iter (it : Ast_iterator.iterator) p =
     (match p.ppat_desc with Ppat_exception inner -> exn_pattern inner | _ -> ());
     Ast_iterator.default_iterator.pat it p
   in
-  let it = { Ast_iterator.default_iterator with expr = expr_iter; pat = pat_iter } in
+  let it =
+    { Ast_iterator.default_iterator with expr = expr_iter; pat = pat_iter; structure_item = structure_item_iter }
+  in
   it.structure it structure;
   List.sort_uniq compare (List.rev !out)
 

@@ -1,4 +1,4 @@
-(** The static pass: five syntactic, conservative rule classes over
+(** The static pass: six syntactic, conservative rule classes over
     one file's Parsetree (compiler-libs [Parse] + [Ast_iterator] — no
     external dependency).
 

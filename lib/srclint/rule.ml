@@ -1,11 +1,12 @@
-type t = Nondet_source | Hashtbl_order | Domain_capture | Exn_message | Unsafe_index
+type t = Nondet_source | Hashtbl_order | Domain_capture | Exn_message | Unsafe_index | Toplevel_lazy
 
-let all = [ Nondet_source; Hashtbl_order; Domain_capture; Exn_message; Unsafe_index ]
+let all = [ Nondet_source; Hashtbl_order; Domain_capture; Exn_message; Unsafe_index; Toplevel_lazy ]
 
 let name = function
   | Nondet_source -> "nondet-source"
   | Hashtbl_order -> "hashtbl-order"
   | Domain_capture -> "domain-capture"
+  | Toplevel_lazy -> "toplevel-lazy"
   | Exn_message -> "exn-message"
   | Unsafe_index -> "unsafe-index"
 
@@ -20,6 +21,9 @@ let why = function
        emitted output"
   | Domain_capture ->
       "mutable state captured by a Domain.spawn closure with no synchronization in sight is a data race"
+  | Toplevel_lazy ->
+      "a top-level lazy is shared by every domain, and two domains forcing it at once raise \
+       CamlinternalLazy.Undefined on OCaml 5"
   | Exn_message ->
       "exception message strings are not a stable interface — match on the exception family (typed constructor) \
        instead"

@@ -1,4 +1,4 @@
-(** The five srclint rule classes.
+(** The six srclint rule classes.
 
     Each rule protects one leg of the repo's determinism contract
     (bit-identical sharded merges, byte-identical fuzz batches,
@@ -16,6 +16,11 @@
     - {!Domain_capture}: [ref]s, mutable record fields, [Hashtbl]s
       and [Buffer]s mutated inside a [Domain.spawn] closure that
       never mentions [Mutex] / [Atomic].
+    - {!Toplevel_lazy}: a module-level [let] bound to [lazy e] or
+      [Lazy.from_fun f].  Every domain shares it, and on OCaml 5 two
+      domains forcing it at the same moment raise
+      [CamlinternalLazy.Undefined] — compute it eagerly at module
+      initialisation instead.
     - {!Exn_message}: pattern matches or comparisons on exception
       {e message strings} rather than exception families —
       [Triage.Signature] already learned this lesson the hard way.
@@ -29,13 +34,14 @@
     a written reason (syntax in DESIGN.md §15); unused suppressions
     are themselves reported. *)
 
-type t = Nondet_source | Hashtbl_order | Domain_capture | Exn_message | Unsafe_index
+type t = Nondet_source | Hashtbl_order | Domain_capture | Exn_message | Unsafe_index | Toplevel_lazy
 
 val all : t list
 
 val name : t -> string
 (** Kebab-case rule id: ["nondet-source"], ["hashtbl-order"],
-    ["domain-capture"], ["exn-message"], ["unsafe-index"]. *)
+    ["domain-capture"], ["toplevel-lazy"], ["exn-message"],
+    ["unsafe-index"]. *)
 
 val of_name : string -> t option
 

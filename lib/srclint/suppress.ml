@@ -11,7 +11,7 @@ type parsed =
   | Expect of string
   | Malformed of string
 
-(* Names an [expect] may reference: the four core rules plus the two
+(* Names an [expect] may reference: the core rules plus the two
    meta findings the driver synthesizes. *)
 let meta_names = [ "unused-allow"; "bad-directive" ]
 let expect_names = List.map Rule.name Rule.all @ meta_names

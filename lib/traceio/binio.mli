@@ -46,6 +46,20 @@ val get_f64 : cursor -> float
 val get_varint : cursor -> int64
 val get_svarint : cursor -> int64
 
+val get_varint_head : cursor -> int
+(** The allocation-free varint kernel behind every varint reader.
+    Returns the value ([>= 0]) when the varint ends within its first
+    8 bytes (so the value is below [2^56]).  Otherwise returns
+    [lnot lo] ([< 0]), where [lo] holds those 8 bytes' 56 low bits,
+    and leaves the cursor on byte 9: finish with {!get_varint_tail}.
+    @raise Error.Corrupt on truncation, with {!get_varint}'s message
+    and cursor position. *)
+
+val get_varint_tail : cursor -> int -> int64
+(** [get_varint_tail c lo] reads bytes 9 and 10 of the varint whose
+    first 8 bytes {!get_varint_head} decoded to [lo]; together they
+    give exactly {!get_varint}'s value and errors. *)
+
 val get_varint_int : cursor -> int
 (** Varint checked to fit a non-negative OCaml [int].
     @raise Error.Corrupt when it does not. *)

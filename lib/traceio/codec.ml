@@ -16,28 +16,36 @@ let put_floats b xs =
       prev := bits)
     xs
 
-let get_floats c =
-  let n = Binio.get_varint_int c in
-  if n > Binio.remaining c then Error.corruptf "float array claims %d elements but only %d bytes remain" n (Binio.remaining c);
-  let prev = ref 0L in
-  Array.init n (fun _ ->
-      let bits = Int64.add !prev (Binio.get_svarint c) in
-      prev := bits;
-      Int64.float_of_bits bits)
-
-(* Same decode, straight into a fresh unboxed vector: the archive
-   replay path never materialises a [float array] per record. *)
+(* Straight into a fresh unboxed vector.  The running bit pattern is
+   element i-1 of the output itself, read back with [bits_of_float],
+   and a delta whose varint ends within 8 bytes is unzigzagged
+   natively, so no [Int64] crosses a call on the common path and a
+   sample costs no allocation.  Longer deltas take the checked tail. *)
 let get_floats_fv c =
   let n = Binio.get_varint_int c in
   if n > Binio.remaining c then Error.corruptf "float array claims %d elements but only %d bytes remain" n (Binio.remaining c);
   let v = Mathkit.Fvec.create n in
-  let prev = ref 0L in
+  let buf = Mathkit.Fvec.buffer v in
+  Mathkit.Fvec.check_range buf ~off:0 ~stride:1 ~len:n "Codec.get_floats_fv";
   for i = 0 to n - 1 do
-    let bits = Int64.add !prev (Binio.get_svarint c) in
-    prev := bits;
-    Mathkit.Fvec.set v i (Int64.float_of_bits bits)
+    let prev =
+      if i = 0 then 0L
+      else
+        (* srclint: allow unsafe-index i - 1 in [0, n) of a fresh contiguous vector of length n *)
+        Int64.bits_of_float (Bigarray.Array1.unsafe_get buf (i - 1))
+    in
+    let h = Binio.get_varint_head c in
+    let delta =
+      if h >= 0 then Int64.of_int ((h lsr 1) lxor -(h land 1))
+      else Binio.unzigzag (Binio.get_varint_tail c (lnot h))
+    in
+    let bits = Int64.add prev delta in
+    (* srclint: allow unsafe-index i in [0, n) of a fresh contiguous vector of length n *)
+    Bigarray.Array1.unsafe_set buf i (Int64.float_of_bits bits)
   done;
   v
+
+let get_floats c = Mathkit.Fvec.to_array (get_floats_fv c)
 
 (* Monotone-ish integer streams (event start indices): delta + zigzag. *)
 let put_ints_delta b xs =
@@ -50,29 +58,47 @@ let put_ints_delta b xs =
       prev := v)
     xs
 
-let get_ints_delta c =
+(* One element of an int stream: [prev] plus the next zigzag delta.
+   Sums natively while the delta ended within 8 bytes and the sum
+   stays in range; anything else takes the checked 64-bit sum, which
+   raises when the element does not fit an OCaml int. *)
+let checked_sum prev d =
+  let v = Int64.add (Int64.of_int prev) d in
+  if Int64.compare v (Int64.of_int max_int) > 0 || Int64.compare v (Int64.of_int min_int) < 0 then
+    Error.corruptf "int array element %Ld does not fit an OCaml int" v;
+  Int64.to_int v
+
+let next_int c prev =
+  let h = Binio.get_varint_head c in
+  if h >= 0 then begin
+    let d = (h lsr 1) lxor -(h land 1) in
+    let s = prev + d in
+    (* native overflow iff both operands' signs differ from the sum's *)
+    if (prev lxor s) land (d lxor s) >= 0 then s else checked_sum prev (Int64.of_int d)
+  end
+  else checked_sum prev (Binio.unzigzag (Binio.get_varint_tail c (lnot h)))
+
+let get_count c =
   let n = Binio.get_varint_int c in
   if n > Binio.remaining c then Error.corruptf "int array claims %d elements but only %d bytes remain" n (Binio.remaining c);
-  let prev = ref 0L in
-  Array.init n (fun _ ->
-      let v = Int64.add !prev (Binio.get_svarint c) in
-      prev := v;
-      if Int64.compare v (Int64.of_int max_int) > 0 || Int64.compare v (Int64.of_int min_int) < 0 then
-        Error.corruptf "int array element %Ld does not fit an OCaml int" v;
-      Int64.to_int v)
+  n
+
+let get_ints_delta c =
+  let n = get_count c in
+  let xs = Array.make n 0 in
+  for i = 0 to n - 1 do
+    xs.(i) <- next_int c (if i = 0 then 0 else xs.(i - 1))
+  done;
+  xs
 
 (* Validate-and-discard [get_ints_delta]: runs the exact same checks
    (so corrupt streams raise the same errors) but allocates nothing.
    Returns the element count for cross-field consistency checks. *)
 let check_ints_delta c =
-  let n = Binio.get_varint_int c in
-  if n > Binio.remaining c then Error.corruptf "int array claims %d elements but only %d bytes remain" n (Binio.remaining c);
-  let prev = ref 0L in
+  let n = get_count c in
+  let prev = ref 0 in
   for _ = 1 to n do
-    let v = Int64.add !prev (Binio.get_svarint c) in
-    prev := v;
-    if Int64.compare v (Int64.of_int max_int) > 0 || Int64.compare v (Int64.of_int min_int) < 0 then
-      Error.corruptf "int array element %Ld does not fit an OCaml int" v
+    prev := next_int c !prev
   done;
   n
 
@@ -82,10 +108,5 @@ let put_ints b xs =
   Array.iter (fun x -> Binio.put_svarint b (Int64.of_int x)) xs
 
 let get_ints c =
-  let n = Binio.get_varint_int c in
-  if n > Binio.remaining c then Error.corruptf "int array claims %d elements but only %d bytes remain" n (Binio.remaining c);
-  Array.init n (fun _ ->
-      let v = Binio.get_svarint c in
-      if Int64.compare v (Int64.of_int max_int) > 0 || Int64.compare v (Int64.of_int min_int) < 0 then
-        Error.corruptf "int array element %Ld does not fit an OCaml int" v;
-      Int64.to_int v)
+  let n = get_count c in
+  Array.init n (fun _ -> next_int c 0)

@@ -9,11 +9,13 @@
     directly. *)
 
 val put_floats : Buffer.t -> float array -> unit
-val get_floats : Binio.cursor -> float array
 
 val get_floats_fv : Binio.cursor -> Mathkit.Fvec.t
-(** [get_floats] decoding straight into a fresh unboxed vector — same
-    bytes, same errors, no intermediate [float array]. *)
+(** Decode {!put_floats}'s stream straight into a fresh unboxed
+    vector, allocating nothing per sample. *)
+
+val get_floats : Binio.cursor -> float array
+(** [Fvec.to_array (get_floats_fv c)]. *)
 
 val put_ints_delta : Buffer.t -> int array -> unit
 val get_ints_delta : Binio.cursor -> int array

@@ -49,12 +49,3 @@ let of_records ~name records =
 
 let make ~name ~next ~close = { name; next; next_fv = (fun () -> fv_of_event (next ())); close }
 let make_fv ~name ~next ~next_fv ~close = { name; next; next_fv; close }
-
-let fold t f acc =
-  let rec loop acc skipped =
-    match t.next () with
-    | `End_of_archive -> (acc, skipped)
-    | `Skipped _ -> loop acc (skipped + 1)
-    | `Record r -> loop (f acc r) skipped
-  in
-  Fun.protect ~finally:t.close (fun () -> loop acc 0)

@@ -35,9 +35,7 @@ val of_archive : ?strict:bool -> ?obs:Obs.Ctx.t -> string -> t
     resumes at the next frame boundary.  With [~strict:true] the same
     condition raises {!Error.Corrupt} instead.  [obs] is forwarded to
     {!Archive.open_reader}, so read/skip totals land in its metrics
-    registry rather than in per-caller local counts ({!fold}'s skip
-    return stays as a convenience, but the registry is the durable
-    record).
+    registry rather than in per-caller local counts.
     @raise Error.Io when the file cannot be opened. *)
 
 val of_reader : ?strict:bool -> name:string -> Archive.reader -> t
@@ -57,7 +55,3 @@ val make_fv :
   name:string -> next:(unit -> event) -> next_fv:(unit -> event_fv) -> close:(unit -> unit) -> t
 (** {!make} with a native replay-shape decoder for backends that can
     skip the boxed intermediate. *)
-
-val fold : t -> ('a -> Archive.record -> 'a) -> 'a -> ('a * int)
-(** Drain the stream; returns the accumulator and the number of
-    skipped records.  Closes the source, also on exceptions. *)

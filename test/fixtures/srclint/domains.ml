@@ -24,3 +24,11 @@ let _locked () =
       Mutex.unlock m)
 
 let _pure () = Domain.spawn (fun () -> 1 + 1)
+
+(* A top-level suspension is shared by every domain; two forcing it at
+   once raise CamlinternalLazy.Undefined.  A lazy built inside a
+   function belongs to its caller and is clean. *)
+(* srclint: expect toplevel-lazy *)
+let _squares = lazy (Array.init 256 (fun i -> i * i))
+
+let _per_call () = lazy (Array.init 256 (fun i -> i * i))

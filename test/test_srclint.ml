@@ -72,6 +72,24 @@ let test_domain_capture () =
     "pure closure is clean" []
     (rule_names (report (src [ "let _go () = Domain.spawn (fun () -> 1 + 1)" ])))
 
+(* --- rule 6: top-level lazy values ------------------------------------------- *)
+
+let test_toplevel_lazy () =
+  Alcotest.(check (list string))
+    "top-level lazy flagged" [ "toplevel-lazy" ]
+    (rule_names (report (src [ "let table = lazy (Array.make 256 0)" ])));
+  Alcotest.(check (list string))
+    "constrained and from_fun shapes flagged" [ "toplevel-lazy"; "toplevel-lazy" ]
+    (rule_names
+       (report (src [ "let a : int Lazy.t = lazy 1"; "let b = Lazy.from_fun (fun () -> 2)" ])));
+  Alcotest.(check (list string))
+    "nested module binding flagged" [ "toplevel-lazy" ]
+    (rule_names (report (src [ "module M = struct let t = lazy 1 end" ])));
+  Alcotest.(check (list string))
+    "per-call lazy and eager tables are clean" []
+    (rule_names
+       (report (src [ "let _f () = lazy 1"; "let _g () = let t = lazy 2 in Lazy.force t"; "let table = Array.make 256 0" ])))
+
 (* --- rule 4: exception message strings -------------------------------------- *)
 
 let test_exn_message () =
@@ -202,6 +220,7 @@ let unit_cases =
     ("srclint: nondet sources", test_nondet);
     ("srclint: hashtbl order", test_hashtbl_order);
     ("srclint: domain capture", test_domain_capture);
+    ("srclint: toplevel lazy", test_toplevel_lazy);
     ("srclint: exn message", test_exn_message);
     ("srclint: unsafe index", test_unsafe_index);
     ("srclint: suppression directives", test_suppression);

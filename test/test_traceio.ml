@@ -473,3 +473,236 @@ let test_next_fv_matches_next_bitwise () =
 
 let suite =
   suite @ [ Alcotest.test_case "next_fv decode = next decode (bit-identical)" `Quick test_next_fv_matches_next_bitwise ]
+
+(* --- decode kernels against boxed references ----------------------------- *)
+
+(* The byte-at-a-time, boxed-[Int64] decoders the native kernels
+   replaced, kept as oracles: same values, same [Corrupt] messages,
+   same cursor position on failure. *)
+module Ref = struct
+  type cursor = { data : string; mutable pos : int; name : string }
+
+  let cursor ?(name = "buffer") data = { data; pos = 0; name }
+  let remaining c = String.length c.data - c.pos
+
+  let get_u8 c =
+    if remaining c < 1 then
+      Traceio.Error.corruptf "%s: truncated record (need %d more bytes at offset %d of %d)" c.name 1 c.pos
+        (String.length c.data);
+    let v = Char.code c.data.[c.pos] in
+    c.pos <- c.pos + 1;
+    v
+
+  let get_varint c =
+    let v = ref 0L and shift = ref 0 and continue_ = ref true in
+    while !continue_ do
+      if !shift > 63 then Traceio.Error.corruptf "%s: varint longer than 10 bytes at offset %d" c.name c.pos;
+      let byte = get_u8 c in
+      v := Int64.logor !v (Int64.shift_left (Int64.of_int (byte land 0x7F)) !shift);
+      shift := !shift + 7;
+      if byte land 0x80 = 0 then continue_ := false
+    done;
+    !v
+
+  let get_svarint c = Traceio.Binio.unzigzag (get_varint c)
+
+  let get_varint_int c =
+    let v = get_varint c in
+    if Int64.compare v (Int64.of_int max_int) > 0 then
+      Traceio.Error.corruptf "%s: varint %Lu does not fit an OCaml int" c.name v;
+    Int64.to_int v
+
+  let fits v = Int64.compare v (Int64.of_int max_int) <= 0 && Int64.compare v (Int64.of_int min_int) >= 0
+
+  let get_count c =
+    let n = get_varint_int c in
+    if n > remaining c then
+      Traceio.Error.corruptf "int array claims %d elements but only %d bytes remain" n (remaining c);
+    n
+
+  let get_ints_delta c =
+    let n = get_count c in
+    let prev = ref 0L in
+    Array.init n (fun _ ->
+        let v = Int64.add !prev (get_svarint c) in
+        prev := v;
+        if not (fits v) then Traceio.Error.corruptf "int array element %Ld does not fit an OCaml int" v;
+        Int64.to_int v)
+
+  let get_ints c =
+    let n = get_count c in
+    Array.init n (fun _ ->
+        let v = get_svarint c in
+        if not (fits v) then Traceio.Error.corruptf "int array element %Ld does not fit an OCaml int" v;
+        Int64.to_int v)
+
+  (* Bytewise reflected CRC-32. *)
+  let crc_table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+
+  let crc_update crc s pos len =
+    let c = ref (crc lxor 0xFFFFFFFF) in
+    for i = pos to pos + len - 1 do
+      c := crc_table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+    done;
+    !c lxor 0xFFFFFFFF
+end
+
+(* What a decoder did to a string: its value or [Corrupt] message, and
+   the bytes it left unread. *)
+let outcome_new f s =
+  let c = Traceio.Binio.cursor s in
+  let r = try Ok (f c) with Traceio.Error.Corrupt m -> Error m in
+  (r, Traceio.Binio.remaining c)
+
+let outcome_ref f s =
+  let c = Ref.cursor s in
+  let r = try Ok (f c) with Traceio.Error.Corrupt m -> Error m in
+  (r, Ref.remaining c)
+
+(* 64-bit values spread over every encoded length, 1 to 10 bytes. *)
+let gen_u64 =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x00FFFFFFFFFFFFFFL; 0x0100000000000000L ]);
+        ( 8,
+          map2
+            (fun len bits ->
+              let width = min 64 (7 * len) in
+              let v = if width = 64 then bits else Int64.shift_right_logical bits (64 - width) in
+              (* force the top bit of the width so the length is exact *)
+              Int64.logor v (Int64.shift_left 1L (width - 1)))
+            (int_range 1 10) ui64 );
+      ])
+
+let encode put v =
+  let b = Buffer.create 10 in
+  put b v;
+  Buffer.contents b
+
+let prefixes s = List.init (String.length s + 1) (fun k -> String.sub s 0 k)
+
+let prop_varint_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"varint kernel = boxed reference (values, truncations)"
+    (QCheck.make ~print:(Printf.sprintf "%Lx") gen_u64)
+    (fun v ->
+      let agree s =
+        outcome_new Traceio.Binio.get_varint s = outcome_ref Ref.get_varint s
+        && outcome_new Traceio.Binio.get_svarint s = outcome_ref Ref.get_svarint s
+        && outcome_new Traceio.Binio.get_varint_int s = outcome_ref Ref.get_varint_int s
+      in
+      let plain = encode Traceio.Binio.put_varint v and zz = encode Traceio.Binio.put_svarint v in
+      outcome_new Traceio.Binio.get_varint plain = (Ok v, 0)
+      && outcome_new Traceio.Binio.get_svarint zz = (Ok v, 0)
+      && List.for_all agree (prefixes plain)
+      && List.for_all agree (prefixes zz))
+
+(* Raw bytes, mostly with the continuation bit set: over-long (11-byte)
+   varints, non-canonical 10th bytes and truncations. *)
+let gen_raw_varint =
+  QCheck.Gen.(
+    map
+      (fun l -> String.init (List.length l) (List.nth l))
+      (list_size (int_range 0 12)
+         (map Char.chr (frequency [ (3, int_range 0x80 0xFF); (1, int_range 0 0xFF) ]))))
+
+let prop_varint_raw_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"varint kernel = boxed reference (raw and over-long bytes)"
+    (QCheck.make ~print:String.escaped gen_raw_varint)
+    (fun s ->
+      let over_long = String.make 11 '\xff' in
+      List.for_all
+        (fun s ->
+          outcome_new Traceio.Binio.get_varint s = outcome_ref Ref.get_varint s
+          && outcome_new Traceio.Binio.get_svarint s = outcome_ref Ref.get_svarint s
+          && outcome_new Traceio.Binio.get_varint_int s = outcome_ref Ref.get_varint_int s)
+        [ s; over_long; String.sub over_long 0 10 ^ "\x00" ])
+
+(* Int streams whose elements sit near the edges of the OCaml int range,
+   so native sums overflow and the checked path must take over. *)
+let gen_int_stream =
+  QCheck.Gen.(
+    let elem =
+      frequency
+        [
+          (3, map Int64.of_int (int_range (-1000) 1000));
+          (2, map (fun d -> Int64.add (Int64.of_int max_int) (Int64.of_int d)) (int_range (-4) 4));
+          (2, map (fun d -> Int64.add (Int64.of_int min_int) (Int64.of_int d)) (int_range (-4) 4));
+          (1, ui64);
+        ]
+    in
+    map2
+      (fun (count, elems) cut ->
+        let b = Buffer.create 64 in
+        Traceio.Binio.put_varint b (Int64.of_int count);
+        List.iter (Traceio.Binio.put_svarint b) elems;
+        let s = Buffer.contents b in
+        match cut with Some k when k < String.length s -> String.sub s 0 k | _ -> s)
+      (pair (int_range 0 6) (list_size (int_range 0 6) elem))
+      (opt (int_range 0 60)))
+
+let prop_int_streams_match_reference =
+  QCheck.Test.make ~count:1000 ~name:"int stream decoders = boxed reference"
+    (QCheck.make ~print:String.escaped gen_int_stream)
+    (fun s ->
+      outcome_new Traceio.Codec.get_ints_delta s = outcome_ref Ref.get_ints_delta s
+      && outcome_new Traceio.Codec.get_ints s = outcome_ref Ref.get_ints s
+      && outcome_new Traceio.Codec.check_ints_delta s
+         = (match outcome_ref Ref.get_ints_delta s with Ok xs, r -> (Ok (Array.length xs), r) | (Error _, _) as e -> e))
+
+(* Floats whose bit-pattern deltas need every varint length, 10 bytes
+   included: NaN payloads, signed zeros, infinities, sign crossings. *)
+let gen_special_floats =
+  QCheck.Gen.(
+    let special =
+      frequency
+        [
+          (1, oneofl [ 0.0; -0.0; infinity; neg_infinity; nan; Float.min_float; -.Float.max_float; 1e-310 ]);
+          (2, map (fun p -> Int64.float_of_bits (Int64.logor 0x7FF0000000000000L (Int64.logand p 0x800FFFFFFFFFFFFFL))) ui64);
+          (2, map Int64.float_of_bits ui64);
+          (3, float_range (-5.0) 5.0);
+        ]
+    in
+    array_size (int_range 0 64) special)
+
+let prop_floats_fv_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"get_floats_fv roundtrips special floats bit for bit; get_floats agrees"
+    (QCheck.make ~print:(fun xs -> String.concat " " (Array.to_list (Array.map (fun x -> Printf.sprintf "%Lx" (Int64.bits_of_float x)) xs))) gen_special_floats)
+    (fun xs ->
+      let s = encode Traceio.Codec.put_floats xs in
+      let c = Traceio.Binio.cursor s in
+      let fv = Traceio.Codec.get_floats_fv c in
+      let c' = Traceio.Binio.cursor s in
+      let boxed = Traceio.Codec.get_floats c' in
+      Traceio.Binio.at_end c && Traceio.Binio.at_end c'
+      && float_bits_equal xs (Mathkit.Fvec.to_array fv)
+      && float_bits_equal xs boxed)
+
+let prop_crc_matches_bytewise =
+  QCheck.Test.make ~count:500 ~name:"slicing-by-8 crc32 = bytewise reference (any pos/len, chained)"
+    QCheck.(triple (string_of_size Gen.(0 -- 100)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      let split = pos + (len / 3) in
+      let one = Traceio.Crc32.update 0 s pos len in
+      let chained = Traceio.Crc32.update (Traceio.Crc32.update 0 s pos (split - pos)) s split (pos + len - split) in
+      one = Ref.crc_update 0 s pos len && chained = one && Traceio.Crc32.digest s = Ref.crc_update 0 s 0 n)
+
+let suite =
+  suite
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_varint_matches_reference;
+        prop_varint_raw_matches_reference;
+        prop_int_streams_match_reference;
+        prop_floats_fv_roundtrip;
+        prop_crc_matches_bytewise;
+      ]
