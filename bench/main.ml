@@ -227,59 +227,18 @@ let perf_tests () =
     Test.make ~name:"table1: segment+classify one 64-coeff trace"
       (Staged.stage (fun () -> ignore (Reveal.Campaign.attack_trace prof run)))
   in
-  (* table2 kernel: one Bayesian posterior *)
+  (* table2 kernel: one Bayesian posterior, graded as the pipeline
+     grades a window *)
+  let attack = prof.Reveal.Campaign.attack in
   let window =
-    let samples = run.Reveal.Device.trace.Power.Ptrace.samples in
+    let samples = Mathkit.Fvec.of_array run.Reveal.Device.trace.Power.Ptrace.samples in
     let wins = Sca.Segment.windows prof.Reveal.Campaign.segment samples in
-    (Sca.Segment.vectorize samples wins ~length:prof.Reveal.Campaign.window_length).(0)
+    (Sca.Segment.views samples wins ~length:prof.Reveal.Campaign.window_length).(0)
   in
+  let scratch = Sca.Attack.make_scratch attack in
   let table2_kernel =
     Test.make ~name:"table2: posterior over 29 candidates"
-      (Staged.stage (fun () -> ignore (Sca.Attack.posterior_all prof.Reveal.Campaign.attack window)))
-  in
-  (* numeric-core before/after pairs: the same scoring and replay work
-     through the boxed [float array] entry points (the pre-refactor
-     implementation, kept as the shim layer) and through the
-     Bigarray-backed Fvec kernels with a reused scratch arena.  The
-     two snapshot rows per pair are what BENCH_perf.json records as
-     the refactor's speedup. *)
-  let attack = prof.Reveal.Campaign.attack in
-  (* the per-window scoring work exactly as the grader performs it: the
-     boxed form is the five-call sequence the pre-refactor grading
-     stage ran per window; the fvec form is the fused single pass that
-     replaced it (bit-identical results, each template scored once) *)
-  let grade_boxed w =
-    ignore (Sca.Attack.sign_confidence attack w);
-    let v = Sca.Attack.classify attack w in
-    ignore (Sca.Attack.posterior_all attack w);
-    ignore (Sca.Attack.sign_fit attack w);
-    ignore (Sca.Attack.value_fit attack ~sign:v.Sca.Attack.sign w)
-  in
-  let scoring_boxed_kernel =
-    Test.make ~name:"numeric: template scoring, boxed arrays"
-      (Staged.stage (fun () -> grade_boxed window))
-  in
-  let window_fv = Mathkit.Fvec.of_array window in
-  let attack_scratch = Sca.Attack.make_scratch attack in
-  let scoring_fvec_kernel =
-    Test.make ~name:"numeric: template scoring, fvec+scratch"
-      (Staged.stage (fun () -> ignore (Sca.Attack.grade_fv attack attack_scratch window_fv)))
-  in
-  let samples = run.Reveal.Device.trace.Power.Ptrace.samples in
-  let replay_boxed_kernel =
-    Test.make ~name:"numeric: replay attack, boxed arrays"
-      (Staged.stage (fun () ->
-           let wins = Sca.Segment.windows prof.Reveal.Campaign.segment samples in
-           Array.iter grade_boxed (Sca.Segment.vectorize samples wins ~length:prof.Reveal.Campaign.window_length)))
-  in
-  let samples_fv = Mathkit.Fvec.of_array samples in
-  let replay_fvec_kernel =
-    Test.make ~name:"numeric: replay attack, fvec views+scratch"
-      (Staged.stage (fun () ->
-           let wins = Sca.Segment.windows_fv prof.Reveal.Campaign.segment samples_fv in
-           Array.iter
-             (fun w -> ignore (Sca.Attack.grade_fv attack attack_scratch w))
-             (Sca.Segment.views samples_fv wins ~length:prof.Reveal.Campaign.window_length)))
+      (Staged.stage (fun () -> ignore (Sca.Attack.grade attack scratch window)))
   in
   (* table3 kernel: integrate 1024 hints and re-estimate beta *)
   let table3_kernel =
@@ -410,10 +369,6 @@ let perf_tests () =
     fig3_kernel;
     table1_kernel;
     table2_kernel;
-    scoring_boxed_kernel;
-    scoring_fvec_kernel;
-    replay_boxed_kernel;
-    replay_fvec_kernel;
     table3_kernel;
     table4_kernel;
     ctcheck_kernel;

@@ -205,9 +205,11 @@ let trace seed variant n csv json obsa =
     end
     else Reveal.Device.run_gaussian device ~scope_rng:rng ~sampler_rng:rng
   in
+  let bursts =
+    Sca.Segment.burst_regions Sca.Segment.default (Mathkit.Fvec.of_array run.Reveal.Device.trace.Power.Ptrace.samples)
+  in
   if json then begin
     (match csv with Some path -> Power.Ptrace.save_csv path run.Reveal.Device.trace | None -> ());
-    let bursts = Sca.Segment.burst_regions Sca.Segment.default run.Reveal.Device.trace.Power.Ptrace.samples in
     Reveal.Report.(
       print
         (Obj
@@ -226,7 +228,6 @@ let trace seed variant n csv json obsa =
         Power.Ptrace.save_csv path run.Reveal.Device.trace;
         Printf.printf "trace written to %s (%d samples)\n" path (Power.Ptrace.length run.Reveal.Device.trace)
     | None -> print_string (Power.Ptrace.ascii_plot ~width:110 ~height:16 run.Reveal.Device.trace.Power.Ptrace.samples));
-    let bursts = Sca.Segment.burst_regions Sca.Segment.default run.Reveal.Device.trace.Power.Ptrace.samples in
     Printf.printf "%d distribution-call peaks detected\n" (Array.length bursts)
   end
 

@@ -159,9 +159,6 @@ val attack_trace : profile -> Device.run -> coefficient_result array
     @raise Failure when segmentation finds a window count different
     from the device's coefficient count. *)
 
-val attack_signs_only : profile -> Device.run -> (int * int) array
-(** (actual sign, recovered sign) per coefficient — Table IV input. *)
-
 val attack_samples_resilient :
   ?gate:gate ->
   ?retry:(int -> float array) ->

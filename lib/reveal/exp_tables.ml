@@ -17,8 +17,9 @@ let fig3 config =
   let run = Device.run device ~scope_rng:rng ~draws:[| (0, 1); (4, 0); (-5, 2) |] in
   let samples = run.Device.trace.Power.Ptrace.samples in
   let seg = Sca.Segment.default in
-  let bursts = Sca.Segment.burst_regions seg samples in
-  let wins = Sca.Segment.windows seg samples in
+  let samples_fv = Mathkit.Fvec.of_array samples in
+  let bursts = Sca.Segment.burst_regions seg samples_fv in
+  let wins = Sca.Segment.windows seg samples_fv in
   if Array.length wins < 4 then failwith "Experiment.fig3: segmentation failed";
   let sub i =
     let w = wins.(i) in

@@ -221,7 +221,7 @@ let tvla_windows device rng ~count ~draw =
     Array.init count (fun _ ->
         let run = Device.run device ~scope_rng:rng ~draws:[| draw rng |] in
         let samples = run.Device.trace.Power.Ptrace.samples in
-        let wins = Sca.Segment.windows seg samples in
+        let wins = Sca.Segment.windows seg (Mathkit.Fvec.of_array samples) in
         if Array.length wins < 1 then failwith "Experiment.tvla: no window";
         let w = wins.(0) in
         Array.sub samples w.Sca.Segment.start (w.Sca.Segment.stop - w.Sca.Segment.start))
@@ -292,19 +292,23 @@ let averaging config =
       let window_sets =
         Array.init k (fun _ ->
             let run = Device.run device ~scope_rng ~draws in
-            let samples = run.Device.trace.Power.Ptrace.samples in
+            let samples = Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples in
             let wins = Sca.Segment.windows prof.Campaign.segment samples in
-            Sca.Segment.vectorize samples (Array.sub wins 0 n) ~length:prof.Campaign.window_length)
+            Sca.Segment.views samples (Array.sub wins 0 n) ~length:prof.Campaign.window_length)
       in
       let averaged =
         Array.init n (fun i ->
-            let acc = Array.make prof.Campaign.window_length 0.0 in
-            Array.iter (fun set -> Array.iteri (fun t x -> acc.(t) <- acc.(t) +. x) set.(i)) window_sets;
-            Array.map (fun x -> x /. float_of_int k) acc)
+            Mathkit.Fvec.init prof.Campaign.window_length (fun t ->
+                let acc = ref 0.0 in
+                Array.iter (fun set -> acc := !acc +. Mathkit.Fvec.get set.(i) t) window_sets;
+                !acc /. float_of_int k))
       in
+      let scratch = Sca.Attack.make_scratch prof.Campaign.attack in
       let ok = ref 0 in
       Array.iteri
-        (fun i w -> if (Sca.Attack.classify prof.Campaign.attack w).Sca.Attack.value = fst draws.(i) then incr ok)
+        (fun i w ->
+          let g = Sca.Attack.grade prof.Campaign.attack scratch w in
+          if g.Sca.Attack.g_verdict.Sca.Attack.value = fst draws.(i) then incr ok)
         averaged;
       { traces_averaged = k; value_accuracy = 100.0 *. float_of_int !ok /. float_of_int n })
     [ 1; 4; 16 ]
@@ -342,17 +346,26 @@ let ablate_features config =
     List.concat
       (List.init 4 (fun _ ->
            let run = Device.run_gaussian device ~scope_rng ~sampler_rng in
-           let samples = run.Device.trace.Power.Ptrace.samples in
+           let samples = Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples in
            let wins = Sca.Segment.windows segment samples in
-           let vecs = Sca.Segment.vectorize samples (Array.sub wins 0 n) ~length:window_length in
-           Array.to_list (Array.mapi (fun i w -> (run.Device.noises.(i), w)) vecs)))
+           let vecs = Sca.Segment.views samples (Array.sub wins 0 n) ~length:window_length in
+           Array.to_list (Array.mapi (fun i w -> (run.Device.noises.(i), Mathkit.Fvec.to_array w)) vecs)))
   in
   let in_labels = Hashtbl.create 32 in
   List.iter (fun (v, _) -> Hashtbl.replace in_labels v ()) classes;
   let test_windows = List.filter (fun (v, _) -> Hashtbl.mem in_labels v) test_windows in
   let evaluate name project =
     let template = Sca.Template.build ~pois:[||] (List.map (fun (l, rows) -> (l, Array.map project rows)) classes) in
-    let ok = List.fold_left (fun acc (actual, w) -> if Sca.Template.classify template (project w) = actual then acc + 1 else acc) 0 test_windows in
+    let scratch = Sca.Template.make_scratch template in
+    let labels = template.Sca.Template.labels in
+    (* flat templates: the maximum-likelihood label is the argmax of the
+       flat-prior row, which does not read [priors] *)
+    let priors = Array.make (Array.length labels) 1.0 in
+    let classify w =
+      let sc = Sca.Template.scores ~priors template scratch (Mathkit.Fvec.of_array (project w)) in
+      labels.(Mathkit.Stats.argmax sc.Sca.Template.s_post)
+    in
+    let ok = List.fold_left (fun acc (actual, w) -> if classify w = actual then acc + 1 else acc) 0 test_windows in
     { feature_method = name; accuracy = 100.0 *. float_of_int ok /. float_of_int (List.length test_windows) }
   in
   let class_array = Array.of_list (List.map snd classes) in

@@ -27,8 +27,7 @@ let error_to_string = function
 
 type classifier = Classifier : (module Sca.Classifier.S with type t = 'c) * 'c -> classifier
 
-let template_classifier attack = Classifier ((module Sca.Classifier.Template), attack)
-let classifier_of_profile prof = template_classifier prof.attack
+let classifier_of_profile prof = Classifier ((module Sca.Classifier.Template), prof.attack)
 let classifier_name (Classifier ((module C), _)) = C.name
 
 (* --- segmenter stage ------------------------------------------------------ *)
@@ -36,7 +35,7 @@ let classifier_name (Classifier ((module C), _)) = C.name
 (* The firmware samples a trailing dummy coefficient, so a run over n
    coefficients produces n+1 bursts and we keep the first n windows. *)
 let raw_windows segment ~count samples =
-  let wins = Sca.Segment.windows_fv segment samples in
+  let wins = Sca.Segment.windows segment samples in
   if Array.length wins <> count + 1 then Error (Window_count { expected = count; found = Array.length wins })
   else Ok (Array.sub wins 0 count)
 
@@ -67,7 +66,7 @@ module Resilient_segmenter = struct
   let name = "resilient"
 
   let segment prof ~count samples =
-    match Sca.Segment.segment_fv prof.segment ~expected:(count + 1) samples with
+    match Sca.Segment.segment prof.segment ~expected:(count + 1) samples with
     | Error e -> Error (Segmentation e)
     | Ok seg ->
         let wins = Array.sub seg.Sca.Segment.wins 0 count in

@@ -51,12 +51,12 @@ val error_to_string : error -> string
 
     The per-window classification step, packed existentially so a
     driver can carry any {!Sca.Classifier.S} instance without a type
-    parameter.  {!template_classifier} wraps the combined template
-    attack; an ML classifier only has to implement the signature. *)
+    parameter.  {!classifier_of_profile} wraps the profile's combined
+    template attack; an ML classifier only has to implement the
+    signature. *)
 
 type classifier = Classifier : (module Sca.Classifier.S with type t = 'c) * 'c -> classifier
 
-val template_classifier : Sca.Attack.t -> classifier
 val classifier_of_profile : profile -> classifier
 val classifier_name : classifier -> string
 

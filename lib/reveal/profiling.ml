@@ -14,7 +14,7 @@ let labelled_windows segment ~samples ~noises =
    attack traces segment identically. *)
 let calibrate_threshold device rng =
   let run = Device.run_gaussian device ~scope_rng:rng ~sampler_rng:rng in
-  Sca.Segment.auto_threshold Sca.Segment.default run.Device.trace.Power.Ptrace.samples
+  Sca.Segment.auto_threshold Sca.Segment.default (Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples)
 
 let segment_of_threshold threshold =
   { Sca.Segment.default with Sca.Segment.threshold = Sca.Segment.Absolute threshold }
@@ -131,8 +131,8 @@ let profile_of_windows ~poi_count ~sign_poi_count (segment, window_length, class
       Array.iter
         (fun w ->
           Mathkit.Fvec.blit_from_array w wv;
-          sign_fits := Sca.Attack.sign_fit_fv attack scratch wv :: !sign_fits;
-          if sign <> 0 then value_fits := Sca.Attack.value_fit_fv attack scratch ~sign wv :: !value_fits)
+          sign_fits := Sca.Attack.sign_fit attack scratch wv :: !sign_fits;
+          if sign <> 0 then value_fits := Sca.Attack.value_fit attack scratch ~sign wv :: !value_fits)
         rows)
     classes;
   let sign_fit_floor = fit_floor (Array.of_list !sign_fits) in

@@ -15,7 +15,7 @@
       Table I.
 
     Matching classifies the sign first and then dispatches to that
-    group's template; zero needs no second stage.  [classify] returns
+    group's template; zero needs no second stage.  [grade] returns
     the hard decision plus the posterior over all candidate values —
     Table I consumes the former, the LWE-hint integration (Tables
     II-III) the latter. *)
@@ -41,52 +41,22 @@ type verdict = {
 val sign_of_label : int -> int
 
 val build :
-  ?poi_count:int ->
-  ?sign_poi_count:int ->
+  poi_count:int ->
+  sign_poi_count:int ->
   sigma:float ->
   (int * float array array) list ->
   t
-(** [build ~sigma classes] profiles from labelled windows
-    ([label, window_vectors]).  POIs are selected by SOSD —
-    independently for the sign grouping and within each sign group.
-    [sigma] shapes the value priors.  Defaults: 16 POIs per value
-    group, 6 sign POIs. *)
+(** [build ~poi_count ~sign_poi_count ~sigma classes] profiles from
+    labelled windows ([label, window_vectors]).  POIs are selected by
+    SOSD — [sign_poi_count] for the sign grouping and [poi_count]
+    within each sign group.  [sigma] shapes the value priors. *)
 
-val classify : t -> float array -> verdict
-(** Attack one window (combined attack). *)
+(** {1 Scoring}
 
-val classify_sign_only : t -> float array -> int
-(** Branch-vulnerability-only attack (Table IV). *)
-
-val sign_confidence : t -> float array -> float
-(** Peak of the (flat-prior) sign posterior for this window — how
-    unambiguous the branch-region match is.  Near 1/3 means the window
-    does not look like any sign class (e.g. after a segmentation
-    failure); confidence gating uses it to demote garbage windows. *)
-
-val sign_fit : t -> float array -> float
-(** Best-class Gaussian log density of the window under the sign
-    template — an absolute goodness-of-fit.  Posteriors normalise the
-    likelihood away, so a corrupted window can still look confident;
-    its fit, by contrast, collapses (the exponent is quadratic in the
-    deviation from the nearest class mean).  Confidence gating compares
-    this against a floor calibrated on profiling windows. *)
-
-val value_fit : t -> sign:int -> float array -> float
-(** Best-class log density under the value template of [sign]'s group
-    (for sign 0, the sign template — zero has no second stage). *)
-
-val posterior_all : t -> float array -> (int * float) array
-(** Joint posterior over all candidates:
-    P(v) = P(sign of v) * P(v | its group) — the raw Table II rows. *)
-
-(** {1 Fvec scoring}
-
-    Allocation-free counterparts over {!Mathkit.Fvec} views.  A
+    Scoring is allocation-free over {!Mathkit.Fvec} views.  A
     {!Scratch.t} bundles the POI gather buffer and the three template
     scratches in one arena; build one per domain ([make_scratch] once,
-    score many windows).  Arithmetic is bit-identical to the
-    [float array] path above. *)
+    score many windows). *)
 
 module Scratch : sig
   type t
@@ -94,26 +64,39 @@ end
 
 val make_scratch : t -> Scratch.t
 
-val classify_fv : t -> Scratch.t -> Mathkit.Fvec.t -> verdict
-val classify_sign_only_fv : t -> Scratch.t -> Mathkit.Fvec.t -> int
-val sign_confidence_fv : t -> Scratch.t -> Mathkit.Fvec.t -> float
-val sign_fit_fv : t -> Scratch.t -> Mathkit.Fvec.t -> float
-val value_fit_fv : t -> Scratch.t -> sign:int -> Mathkit.Fvec.t -> float
-val posterior_all_fv : t -> Scratch.t -> Mathkit.Fvec.t -> (int * float) array
-
 (** Everything the confidence gate consumes for one window. *)
 type graded = {
   g_verdict : verdict;
+      (** maximum likelihood, as in classical template attacks: the
+          sign is the argmax of the flat-prior sign posterior, the
+          value the argmax of that sign group's flat-prior posterior
+          (zero needs no second stage) *)
   g_posterior_all : (int * float) array;
+      (** joint posterior over all candidates,
+          P(v) = P(sign of v) * P(v | its group), both factors under
+          the sampler's Gaussian prior — the raw Table II rows *)
   g_sign_confidence : float;
-  g_sign_fit : float;
-  g_value_fit : float;
+      (** peak of the flat-prior sign posterior — how unambiguous the
+          branch-region match is.  Near 1/3 means the window does not
+          look like any sign class (e.g. after a segmentation
+          failure); confidence gating uses it to demote garbage
+          windows. *)
+  g_sign_fit : float;  (** {!sign_fit} of the window *)
+  g_value_fit : float;  (** {!value_fit} of the window under [g_verdict.sign] *)
 }
 
-val grade_fv : t -> Scratch.t -> Mathkit.Fvec.t -> graded
-(** Fused grading: each template is scored exactly once and all five
-    quantities are derived from the shared score rows.  Calling the
-    five single-purpose entry points above performs the same template
-    scorings several times over; every field here is bit-identical to
-    the value the corresponding separate call returns, so the fusion
-    is observationally invisible — only faster. *)
+val grade : t -> Scratch.t -> Mathkit.Fvec.t -> graded
+(** The combined attack on one window: each template is scored once
+    and every field is derived from the shared score rows. *)
+
+val sign_fit : t -> Scratch.t -> Mathkit.Fvec.t -> float
+(** Best-class Gaussian log density of the window under the sign
+    template — an absolute goodness-of-fit.  Posteriors normalise the
+    likelihood away, so a corrupted window can still look confident;
+    its fit, by contrast, collapses (the exponent is quadratic in the
+    deviation from the nearest class mean).  Confidence gating compares
+    this against a floor calibrated on profiling windows. *)
+
+val value_fit : t -> Scratch.t -> sign:int -> Mathkit.Fvec.t -> float
+(** Best-class log density under the value template of [sign]'s group
+    (for sign 0, the sign template — zero has no second stage). *)

@@ -15,16 +15,20 @@ module type S = sig
       what the corresponding function above returns for the window. *)
 end
 
+(* Every single-purpose entry is a projection of [Attack.grade], so
+   "each field of [grade] equals the separate call" holds by
+   construction.  [value_fit] takes the sign from the caller, not from
+   the verdict, so it is [Attack.value_fit] itself. *)
 module Template : S with type t = Attack.t and type scratch = Attack.Scratch.t = struct
   type t = Attack.t
   type scratch = Attack.Scratch.t
 
   let name = "template"
   let make_scratch = Attack.make_scratch
-  let classify = Attack.classify_fv
-  let posterior_all = Attack.posterior_all_fv
-  let sign_confidence = Attack.sign_confidence_fv
-  let sign_fit = Attack.sign_fit_fv
-  let value_fit = Attack.value_fit_fv
-  let grade = Attack.grade_fv
+  let grade = Attack.grade
+  let classify t s w = (grade t s w).Attack.g_verdict
+  let posterior_all t s w = (grade t s w).Attack.g_posterior_all
+  let sign_confidence t s w = (grade t s w).Attack.g_sign_confidence
+  let sign_fit t s w = (grade t s w).Attack.g_sign_fit
+  let value_fit = Attack.value_fit
 end

@@ -53,4 +53,8 @@ module type S = sig
 end
 
 module Template : S with type t = Attack.t and type scratch = Attack.Scratch.t
-(** The combined template attack behind the narrow interface. *)
+(** The combined template attack behind the narrow interface.
+    [grade] is {!Attack.grade}; [classify], [posterior_all],
+    [sign_confidence] and [sign_fit] are projections of its fields, and
+    [value_fit] is {!Attack.value_fit}, so the [grade] contract holds
+    by construction. *)

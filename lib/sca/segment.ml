@@ -11,19 +11,17 @@ let default = { threshold = Auto; smooth_radius = 2; merge_gap = 55; min_burst =
 
 type window = { start : int; stop : int }
 
-(* The segmentation kernels are Fvec-native: one borrowed view of the
-   trace in, no per-stage copies.  The historical float-array entry
-   points below are thin of_array shims — same arithmetic, so the two
-   forms are bit-identical (pinned by test_sca). *)
+(* The segmentation kernels read one borrowed view of the trace, with
+   no per-stage copies. *)
 
 module Fvec = Mathkit.Fvec
 
-let smooth_fv radius samples =
+let smooth radius samples =
   if radius <= 0 then Fvec.copy samples
   else begin
     let n = Fvec.length samples in
     let buf = Fvec.buffer samples and off = Fvec.offset samples and str = Fvec.stride samples in
-    Fvec.check_range buf ~off ~stride:str ~len:n "Segment.smooth_fv";
+    Fvec.check_range buf ~off ~stride:str ~len:n "Segment.smooth";
     let out = Fvec.create n in
     let obuf = Fvec.buffer out in
     let edge i =
@@ -61,13 +59,11 @@ let smooth_fv radius samples =
     out
   end
 
-let smooth radius samples = Fvec.to_array (smooth_fv radius (Fvec.of_array samples))
-
 (* Otsu's method: pick the level that best separates the bimodal
    power histogram (busy divider vs ordinary code).  Unlike a
    percentile midpoint, it does not care what fraction of the trace is
    spent in each mode, so it survives very slow or very fast dividers. *)
-let otsu_fv samples =
+let otsu samples =
   if Fvec.length samples = 0 then 0.0
   else
     let lo, hi = Fvec.minmax samples in
@@ -104,27 +100,25 @@ let otsu_fv samples =
       of_bin (!best_mu0 +. (0.75 *. (!best_mu1 -. !best_mu0)))
     end
 
-let auto_threshold_fv cfg samples =
-  let s = smooth_fv cfg.smooth_radius samples in
-  otsu_fv s
+let auto_threshold cfg samples =
+  let s = smooth cfg.smooth_radius samples in
+  otsu s
 
-let auto_threshold cfg samples = auto_threshold_fv cfg (Fvec.of_array samples)
-
-let burst_regions_fv cfg samples =
+let burst_regions cfg samples =
   let n = Fvec.length samples in
   if n = 0 then [||]
   else begin
-    let s = smooth_fv cfg.smooth_radius samples in
+    let s = smooth cfg.smooth_radius samples in
     let threshold =
       match cfg.threshold with
       | Absolute t -> t
       | Percentile p -> Mathkit.Stats.percentile (Fvec.to_array s) p
-      | Auto -> otsu_fv s
+      | Auto -> otsu s
     in
     (* Raw above-threshold runs.  [s] is contiguous (fresh from
-       smooth_fv), so the scan reads the buffer directly. *)
+       smooth), so the scan reads the buffer directly. *)
     let sbuf = Fvec.buffer s and soff = Fvec.offset s and sstr = Fvec.stride s in
-    Fvec.check_range sbuf ~off:soff ~stride:sstr ~len:n "Segment.burst_regions_fv";
+    Fvec.check_range sbuf ~off:soff ~stride:sstr ~len:n "Segment.burst_regions";
     let runs = ref [] in
     let run_start = ref (-1) in
     for i = 0 to n - 1 do
@@ -163,8 +157,6 @@ let burst_regions_fv cfg samples =
     List.filter_map anchor groups |> Array.of_list
   end
 
-let burst_regions cfg samples = burst_regions_fv cfg (Fvec.of_array samples)
-
 let windows_of_bursts bursts ~trace_len =
   Array.mapi
     (fun i b ->
@@ -172,22 +164,10 @@ let windows_of_bursts bursts ~trace_len =
       { start = b.stop; stop })
     bursts
 
-let windows_fv cfg samples = windows_of_bursts (burst_regions_fv cfg samples) ~trace_len:(Fvec.length samples)
+let windows cfg samples = windows_of_bursts (burst_regions cfg samples) ~trace_len:(Fvec.length samples)
 
-let windows cfg samples = windows_fv cfg (Fvec.of_array samples)
-
-let vectorize samples wins ~length =
-  if length <= 0 then invalid_arg "Segment.vectorize: length must be positive";
-  Array.map
-    (fun w ->
-      Array.init length (fun i ->
-          let idx = w.start + i in
-          if idx < w.stop && idx < Array.length samples then samples.(idx) else 0.0))
-    wins
-
-(* The Fvec counterpart of {!vectorize}: a window fully inside both
-   its burst span and the trace is a borrowed sub-view (no copy); a
-   short window gets the same zero-padded copy vectorize would build.
+(* A window fully inside both its burst span and the trace is a
+   borrowed sub-view (no copy); a short window gets a zero-padded copy.
    Values are identical either way. *)
 let views samples wins ~length =
   if length <= 0 then invalid_arg "Segment.views: length must be positive";
@@ -283,12 +263,12 @@ let resync bursts ~expected ~trace_len =
     end
   end
 
-let segment_fv cfg ~expected samples =
+let segment cfg ~expected samples =
   if expected <= 0 then invalid_arg "Segment.segment: expected must be positive";
   let trace_len = Fvec.length samples in
   if trace_len = 0 then Error Empty_trace
   else begin
-    let bursts = burst_regions_fv cfg samples in
+    let bursts = burst_regions cfg samples in
     if Array.length bursts = 0 then Error Flat_trace
     else begin
       let bursts, removed =
@@ -329,5 +309,3 @@ let segment_fv cfg ~expected samples =
       end
     end
   end
-
-let segment cfg ~expected samples = segment_fv cfg ~expected (Fvec.of_array samples)

@@ -37,27 +37,34 @@ val default : config
 type window = { start : int; stop : int }
 (** Half-open sample range [start, stop). *)
 
-val smooth : int -> float array -> float array
-(** Centred moving average. *)
+(** Every function reads the trace through a borrowed
+    {!Mathkit.Fvec} view and never writes it. *)
 
-val auto_threshold : config -> float array -> float
+val smooth : int -> Mathkit.Fvec.t -> Mathkit.Fvec.t
+(** Centred moving average, into a fresh vector. *)
+
+val auto_threshold : config -> Mathkit.Fvec.t -> float
 (** The level the Auto rule would pick for this trace.  An empty trace
     yields 0.0 and a flat trace yields its constant level — both leave
     {!burst_regions} with zero bursts rather than crashing; use
     {!segment} to get a typed error instead. *)
 
-val burst_regions : config -> float array -> window array
+val burst_regions : config -> Mathkit.Fvec.t -> window array
 (** Merged high-power regions, one per distribution call. *)
 
-val windows : config -> float array -> window array
+val windows : config -> Mathkit.Fvec.t -> window array
 (** Quiet regions between consecutive bursts: window [i] covers
     coefficient [i]'s sign/assignment code.  The final window runs to
     the end of the trace. *)
 
-val vectorize : float array -> window array -> length:int -> float array array
-(** Clip every window to its first [length] samples (windows shorter
-    than [length] are zero-padded) — the fixed-dimension vectors the
-    templates consume. *)
+val views : Mathkit.Fvec.t -> window array -> length:int -> Mathkit.Fvec.t array
+(** The fixed-dimension vectors the templates consume: every window
+    clipped to its first [length] samples.  A window whose first
+    [length] samples lie inside both its span and the trace is returned
+    as a borrowed sub-view of [samples]; a shorter one gets a fresh
+    vector, zero-padded past its end.  Views alias the trace — treat
+    them as read-only.
+    @raise Invalid_argument when [length <= 0]. *)
 
 (** {1 Resilient segmentation}
 
@@ -84,7 +91,7 @@ type segmented = { wins : window array; quality : quality array }
 
 val error_to_string : segment_error -> string
 
-val segment : config -> expected:int -> float array -> (segmented, segment_error) result
+val segment : config -> expected:int -> Mathkit.Fvec.t -> (segmented, segment_error) result
 (** [segment cfg ~expected samples] returns exactly [expected] windows
     or a typed error — never a silent short array.  When the burst
     count is off it first drops glitch-length spurious bursts
@@ -95,24 +102,3 @@ val segment : config -> expected:int -> float array -> (segmented, segment_error
     [Suspect].  On a clean trace with the right burst count the result
     equals {!windows} with every flag [Clean].
     @raise Invalid_argument when [expected <= 0]. *)
-
-(** {1 Fvec-native segmentation}
-
-    The kernels above are implemented over borrowed {!Mathkit.Fvec}
-    views; the [float array] entry points are thin [of_array] shims.
-    Both forms compute identical values (pinned by the equivalence
-    tests), so a caller can adopt views incrementally. *)
-
-val smooth_fv : int -> Mathkit.Fvec.t -> Mathkit.Fvec.t
-val auto_threshold_fv : config -> Mathkit.Fvec.t -> float
-val burst_regions_fv : config -> Mathkit.Fvec.t -> window array
-val windows_fv : config -> Mathkit.Fvec.t -> window array
-
-val views : Mathkit.Fvec.t -> window array -> length:int -> Mathkit.Fvec.t array
-(** {!vectorize} without the copies: a window whose first [length]
-    samples lie inside both its span and the trace is returned as a
-    borrowed sub-view of [samples]; shorter windows get the same
-    zero-padded fresh vector {!vectorize} would build.  Views alias
-    the trace — treat them as read-only. *)
-
-val segment_fv : config -> expected:int -> Mathkit.Fvec.t -> (segmented, segment_error) result

@@ -1,8 +1,7 @@
 type t = {
   labels : int array;
   means : float array array;
-  inv_cov : Mathkit.Matrix.t;
-  inv_cov_fm : Mathkit.Fmat.t;
+  inv_cov : Mathkit.Fmat.t;
   log_det : float;
   pois : int array;
 }
@@ -21,35 +20,16 @@ let build ?(regularization = 1e-6) ~pois classes =
   let mean_diag = Mathkit.Matrix.trace pooled /. float_of_int d in
   let eps = regularization *. Float.max mean_diag 1e-12 in
   let cov = Mathkit.Linalg.regularize pooled eps in
-  let inv_cov = Mathkit.Linalg.inverse cov in
+  let inv_cov = Mathkit.Fmat.of_matrix (Mathkit.Linalg.inverse cov) in
   let log_det = Mathkit.Linalg.logdet cov in
-  { labels; means; inv_cov; inv_cov_fm = Mathkit.Fmat.of_matrix inv_cov; log_det; pois }
-
-let log_likelihoods t x =
-  let d = float_of_int (Array.length x) in
-  let const = -0.5 *. ((d *. log (2.0 *. Float.pi)) +. t.log_det) in
-  Array.map (fun mu -> const -. (0.5 *. Mathkit.Linalg.mahalanobis_sq ~inv_cov:t.inv_cov x mu)) t.means
-
-let posterior ?priors t x =
-  let ll = log_likelihoods t x in
-  (match priors with
-  | Some p ->
-      if Array.length p <> Array.length ll then invalid_arg "Template.posterior: prior length mismatch";
-      Array.iteri (fun i pi -> ll.(i) <- ll.(i) +. log (Float.max pi 1e-300)) p
-  | None -> ());
-  let z = Mathkit.Stats.log_sum_exp ll in
-  Array.map (fun l -> exp (l -. z)) ll
-
-let classify ?priors t x =
-  let p = posterior ?priors t x in
-  t.labels.(Mathkit.Stats.argmax p)
+  { labels; means; inv_cov; log_det; pois }
 
 let dimension t = match t.means with [||] -> 0 | ms -> Array.length ms.(0)
 
 (* Per-template reusable buffers.  [diff] holds x - mu for the fused
-   quadratic form; [ll]/[post] are the per-class score rows that the
-   _fv entry points return BORROWED — valid until the next call on the
-   same scratch. *)
+   quadratic form; [ll]/[post]/[post_p] are the per-class score rows
+   that the scoring functions return BORROWED — valid until the next
+   call on the same scratch. *)
 type scratch = { diff : Mathkit.Fvec.t; ll : float array; post : float array; post_p : float array }
 
 let make_scratch ?arena t =
@@ -62,55 +42,33 @@ let make_scratch ?arena t =
   let k = Array.length t.labels in
   { diff; ll = Array.make k 0.0; post = Array.make k 0.0; post_p = Array.make k 0.0 }
 
-(* Bit-identical to [log_likelihoods]: the diff elements are computed
-   the same way and [Fmat.quadratic_form] replicates the accumulation
-   order of [Matrix.dot d (Matrix.mul_vec inv_cov d)] exactly. *)
-let log_likelihoods_fv t s x =
+(* The one log-likelihood kernel: per class, const - (x-mu)^T S^-1 (x-mu) / 2.
+   [Fmat.quadratic_form] accumulates in the order of
+   [Matrix.dot d (Matrix.mul_vec inv_cov d)], so the rows carry the
+   bits of the textbook array formulation the tests keep as oracle. *)
+let log_likelihoods t s x =
   let open Mathkit in
   let dim = Fvec.length x in
-  if Fvec.length s.diff <> dim then invalid_arg "Template.log_likelihoods_fv: scratch dimension mismatch";
+  if Fvec.length s.diff <> dim then invalid_arg "Template.log_likelihoods: scratch dimension mismatch";
   let d = float_of_int dim in
   let const = -0.5 *. ((d *. log (2.0 *. Float.pi)) +. t.log_det) in
   let xbuf = Fvec.buffer x and xoff = Fvec.offset x and xstr = Fvec.stride x in
   let dbuf = Fvec.buffer s.diff and doff = Fvec.offset s.diff and dstr = Fvec.stride s.diff in
-  Fvec.check_range xbuf ~off:xoff ~stride:xstr ~len:dim "Template.log_likelihoods_fv";
-  Fvec.check_range dbuf ~off:doff ~stride:dstr ~len:dim "Template.log_likelihoods_fv";
+  Fvec.check_range xbuf ~off:xoff ~stride:xstr ~len:dim "Template.log_likelihoods";
+  Fvec.check_range dbuf ~off:doff ~stride:dstr ~len:dim "Template.log_likelihoods";
   Array.iteri
     (fun k mu ->
-      if Array.length mu <> dim then invalid_arg "Linalg.mahalanobis_sq: length mismatch";
+      if Array.length mu <> dim then invalid_arg "Template.log_likelihoods: mean length mismatch";
       for j = 0 to dim - 1 do
         (* srclint: allow unsafe-index both view ranges check_range'd above, mu length checked per class *)
         Bigarray.Array1.unsafe_set dbuf (doff + (j * dstr)) (Bigarray.Array1.unsafe_get xbuf (xoff + (j * xstr)) -. Array.unsafe_get mu j)
       done;
-      s.ll.(k) <- const -. (0.5 *. Fmat.quadratic_form t.inv_cov_fm s.diff))
+      s.ll.(k) <- const -. (0.5 *. Fmat.quadratic_form t.inv_cov s.diff))
     t.means;
   s.ll
 
-let posterior_fv ?priors t s x =
-  let ll = log_likelihoods_fv t s x in
-  (match priors with
-  | Some p ->
-      if Array.length p <> Array.length ll then invalid_arg "Template.posterior: prior length mismatch";
-      Array.iteri (fun i pi -> ll.(i) <- ll.(i) +. log (Float.max pi 1e-300)) p
-  | None -> ());
-  let z = Mathkit.Stats.log_sum_exp ll in
-  for i = 0 to Array.length ll - 1 do
-    s.post.(i) <- exp (ll.(i) -. z)
-  done;
-  s.post
-
-let classify_fv ?priors t s x = t.labels.(Mathkit.Stats.argmax (posterior_fv ?priors t s x))
-
 type scores = { s_best_ll : float; s_post : float array; s_post_p : float array }
 
-(* One ll pass feeding every consumer of a template's scores: the
-   best-class log density (fit gating), the flat-prior posterior
-   (classification, confidence) and the priored posterior (the joint
-   Bayesian posterior).  Each derived row replicates the arithmetic of
-   the corresponding single-purpose entry point exactly — same values
-   in the same order — so fusing several calls into one [scores_fv] is
-   bit-invisible to every consumer.  Both rows are BORROWED, valid
-   until the next call on the same scratch. *)
 (* [Array.fold_left Float.max neg_infinity xs], with the common case
    settled by a strict [>] (Float.max's sign_bit test boxes an Int64
    per call); ties and NaNs fall back to the real Float.max, so the
@@ -129,43 +87,34 @@ let lse_with_max xs m =
   if Float.is_nan m || m = neg_infinity then m
   else m +. log (Array.fold_left (fun acc x -> acc +. exp (x -. m)) 0.0 xs)
 
-let scores_fv ~priors t s x =
-  let ll = log_likelihoods_fv t s x in
-  let k = Array.length ll in
+(* Add the log priors to [ll] in place and normalise into [s.post_p]. *)
+let priored_into ~caller ~priors s ll =
+  if Array.length priors <> Array.length ll then invalid_arg (caller ^ ": prior length mismatch");
+  Array.iteri (fun i pi -> ll.(i) <- ll.(i) +. log (Float.max pi 1e-300)) priors;
+  let zp = lse_with_max ll (max_fold ll) in
+  for i = 0 to Array.length ll - 1 do
+    s.post_p.(i) <- exp (ll.(i) -. zp)
+  done
+
+(* One ll pass feeding every consumer of a template's scores: the
+   best-class log density (fit gating), the flat-prior posterior
+   (classification, confidence) and the priored posterior (the joint
+   Bayesian posterior). *)
+let scores ~priors t s x =
+  let ll = log_likelihoods t s x in
   (* log_sum_exp's internal peak IS the best-class log density: one
      fold serves both. *)
   let best = max_fold ll in
   let z = lse_with_max ll best in
-  for i = 0 to k - 1 do
+  for i = 0 to Array.length ll - 1 do
     s.post.(i) <- exp (ll.(i) -. z)
   done;
-  if Array.length priors <> k then invalid_arg "Template.posterior: prior length mismatch";
-  Array.iteri (fun i pi -> ll.(i) <- ll.(i) +. log (Float.max pi 1e-300)) priors;
-  let zp = lse_with_max ll (max_fold ll) in
-  for i = 0 to k - 1 do
-    s.post_p.(i) <- exp (ll.(i) -. zp)
-  done;
+  priored_into ~caller:"Template.scores" ~priors s ll;
   { s_best_ll = best; s_post = s.post; s_post_p = s.post_p }
 
-(* The priored posterior row alone — [scores_fv] minus the flat
-   posterior and the best density, for a template whose only consumed
-   output is its factor of the joint posterior.  Every step is the
-   corresponding [scores_fv] step, so the row carries the same bits.
-   BORROWED like the scores rows. *)
-let priored_posterior_fv ~priors t s x =
-  let ll = log_likelihoods_fv t s x in
-  let k = Array.length ll in
-  if Array.length priors <> k then invalid_arg "Template.posterior: prior length mismatch";
-  Array.iteri (fun i pi -> ll.(i) <- ll.(i) +. log (Float.max pi 1e-300)) priors;
-  let zp = lse_with_max ll (max_fold ll) in
-  for i = 0 to k - 1 do
-    s.post_p.(i) <- exp (ll.(i) -. zp)
-  done;
+(* The priored posterior row alone, for a template whose only consumed
+   output is its factor of the joint posterior: the same steps as
+   [scores], so the row carries the same bits. *)
+let priored_posterior ~priors t s x =
+  priored_into ~caller:"Template.priored_posterior" ~priors s (log_likelihoods t s x);
   s.post_p
-
-let restrict t keep =
-  let idx = ref [] in
-  Array.iteri (fun i label -> if keep label then idx := i :: !idx) t.labels;
-  let idx = Array.of_list (List.rev !idx) in
-  if Array.length idx = 0 then invalid_arg "Template.restrict: no classes left";
-  { t with labels = Array.map (fun i -> t.labels.(i)) idx; means = Array.map (fun i -> t.means.(i)) idx }

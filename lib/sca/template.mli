@@ -13,9 +13,7 @@
 type t = {
   labels : int array;  (** class labels, e.g. coefficient values *)
   means : float array array;
-  inv_cov : Mathkit.Matrix.t;  (** inverse pooled covariance *)
-  inv_cov_fm : Mathkit.Fmat.t;
-      (** same matrix, flat row-major — the scoring-kernel copy *)
+  inv_cov : Mathkit.Fmat.t;  (** inverse pooled covariance, flat row-major *)
   log_det : float;
   pois : int array;  (** POI indices into the window, kept for bookkeeping *)
 }
@@ -26,62 +24,38 @@ val build : ?regularization:float -> pois:int array -> (int * float array array)
     [regularization] (default 1e-6) times the mean diagonal.
     @raise Invalid_argument when any class has < 2 rows. *)
 
-val log_likelihoods : t -> float array -> float array
-(** Per-class Gaussian log density of one POI vector (same order as
-    [labels]). *)
+(** {1 Scoring}
 
-val posterior : ?priors:float array -> t -> float array -> float array
-(** Normalised class probabilities; [priors] defaults to uniform. *)
-
-val classify : ?priors:float array -> t -> float array -> int
-(** Maximum-likelihood (or MAP, with priors) label. *)
-
-val restrict : t -> (int -> bool) -> t
-(** Keep only classes whose label satisfies the predicate — used to
-    condition the value template on the recovered sign. *)
-
-(** {1 Fvec scoring}
-
-    Allocation-free counterparts of the scoring entry points above:
-    the caller owns a {!scratch} (one per domain — scratches must not
-    be shared across domains) and the [_fv] functions return rows
-    BORROWED from it, valid until the next call on the same scratch.
-    Arithmetic is bit-identical to the [float array] path. *)
+    Scoring is allocation-free over {!Mathkit.Fvec} views: the caller
+    owns a {!scratch} (one per domain — scratches must not be shared
+    across domains) and the score rows are BORROWED from it, valid
+    until the next call on the same scratch. *)
 
 val dimension : t -> int
 (** POI-vector dimensionality the template scores (length of each
     class mean). *)
 
-type scratch = {
-  diff : Mathkit.Fvec.t;  (** x - mu workspace, [dimension] long *)
-  ll : float array;  (** per-class log likelihoods, borrowed *)
-  post : float array;  (** per-class posterior, borrowed *)
-  post_p : float array;  (** per-class priored posterior, borrowed *)
-}
+type scratch
 
 val make_scratch : ?arena:Mathkit.Fvec.Scratch.t -> t -> scratch
-(** Scratch sized for [t]; [diff] is carved from [arena] when given,
-    freshly allocated otherwise. *)
-
-val log_likelihoods_fv : t -> scratch -> Mathkit.Fvec.t -> float array
-val posterior_fv : ?priors:float array -> t -> scratch -> Mathkit.Fvec.t -> float array
-val classify_fv : ?priors:float array -> t -> scratch -> Mathkit.Fvec.t -> int
+(** Scratch sized for [t]; its difference workspace is carved from
+    [arena] when given, freshly allocated otherwise. *)
 
 type scores = {
-  s_best_ll : float;  (** [Float.max] fold over the log likelihoods *)
+  s_best_ll : float;  (** best-class Gaussian log density *)
   s_post : float array;  (** flat-prior posterior, borrowed *)
   s_post_p : float array;  (** posterior under [priors], borrowed *)
 }
 
-val scores_fv : priors:float array -> t -> scratch -> Mathkit.Fvec.t -> scores
-(** One log-likelihood pass, then every score a grading consumer
-    needs.  Each row is bit-identical to the corresponding
-    single-purpose entry point ([log_likelihoods] max, [posterior]
-    without and with [priors]), so one [scores_fv] call substitutes
-    for several separate scoring calls without observable effect.
-    Both rows are borrowed from the scratch. *)
+val scores : priors:float array -> t -> scratch -> Mathkit.Fvec.t -> scores
+(** One log-likelihood pass over every class, then every score a
+    grading consumer needs: the best-class log density, the flat-prior
+    posterior (in [labels] order; its argmax is the maximum-likelihood
+    label) and the posterior under [priors].
+    @raise Invalid_argument when [priors] and [labels] differ in
+    length, or the vector's length is not {!dimension}. *)
 
-val priored_posterior_fv : priors:float array -> t -> scratch -> Mathkit.Fvec.t -> float array
-(** The [s_post_p] row of {!scores_fv} alone, bit-identical to it, for
-    a template whose flat posterior and best density go unread.
+val priored_posterior : priors:float array -> t -> scratch -> Mathkit.Fvec.t -> float array
+(** The [s_post_p] row of {!scores} alone, bit-identical to it, for a
+    template whose flat posterior and best density go unread.
     Borrowed from the scratch. *)

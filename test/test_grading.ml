@@ -15,10 +15,9 @@ let fixture =
      (prof, run))
 
 let first_window prof (run : Reveal.Device.run) =
-  let samples = run.Reveal.Device.trace.Power.Ptrace.samples in
+  let samples = Mathkit.Fvec.of_array run.Reveal.Device.trace.Power.Ptrace.samples in
   let wins = Sca.Segment.windows prof.Reveal.Campaign.segment samples in
-  Mathkit.Fvec.of_array
-    (Sca.Segment.vectorize samples (Array.sub wins 0 1) ~length:prof.Reveal.Campaign.window_length).(0)
+  (Sca.Segment.views samples (Array.sub wins 0 1) ~length:prof.Reveal.Campaign.window_length).(0)
 
 (* a classifier stage instance with fully scripted outputs *)
 let mock ?(value = 1) ?(sign = 1) ~sign_fit ~value_fit ~sign_conf posterior =

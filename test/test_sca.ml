@@ -1,6 +1,7 @@
 (* Segmentation, POI selection, templates, confusion bookkeeping. *)
 
 let rng () = Mathkit.Prng.create ~seed:31337L ()
+let fv = Mathkit.Fvec.of_array
 
 (* --- Segment -------------------------------------------------------------- *)
 
@@ -15,12 +16,12 @@ let synthetic_trace ~bursts ~quiet_len ~burst_len =
 
 let test_segment_finds_bursts () =
   let t = synthetic_trace ~bursts:3 ~quiet_len:200 ~burst_len:30 in
-  let bursts = Sca.Segment.burst_regions Sca.Segment.default t in
+  let bursts = Sca.Segment.burst_regions Sca.Segment.default (fv t) in
   Alcotest.(check int) "three bursts" 3 (Array.length bursts)
 
 let test_segment_windows_between_bursts () =
   let t = synthetic_trace ~bursts:3 ~quiet_len:200 ~burst_len:30 in
-  let wins = Sca.Segment.windows Sca.Segment.default t in
+  let wins = Sca.Segment.windows Sca.Segment.default (fv t) in
   Alcotest.(check int) "three windows" 3 (Array.length wins);
   Array.iteri
     (fun i w ->
@@ -36,7 +37,7 @@ let test_segment_merges_close_runs () =
     Array.concat
       [ Array.make 200 10.0; Array.make 20 25.0; Array.make 30 10.0; Array.make 20 25.0; Array.make 200 10.0 ]
   in
-  let bursts = Sca.Segment.burst_regions Sca.Segment.default t in
+  let bursts = Sca.Segment.burst_regions Sca.Segment.default (fv t) in
   Alcotest.(check int) "merged" 1 (Array.length bursts)
 
 let test_segment_ignores_slivers () =
@@ -45,38 +46,39 @@ let test_segment_ignores_slivers () =
   let t = synthetic_trace ~bursts:2 ~quiet_len:300 ~burst_len:30 in
   t.(400) <- 30.0;
   (* sliver in the first window, away from boundaries *)
-  let bursts = Sca.Segment.burst_regions { Sca.Segment.default with Sca.Segment.smooth_radius = 0 } t in
+  let bursts = Sca.Segment.burst_regions { Sca.Segment.default with Sca.Segment.smooth_radius = 0 } (fv t) in
   Alcotest.(check int) "still two bursts" 2 (Array.length bursts)
 
 let test_segment_boundary_sliver_does_not_shift () =
   let t = synthetic_trace ~bursts:2 ~quiet_len:300 ~burst_len:30 in
   let cfg = { Sca.Segment.default with Sca.Segment.smooth_radius = 0 } in
-  let before = Sca.Segment.burst_regions cfg t in
+  let before = Sca.Segment.burst_regions cfg (fv t) in
   (* data-dependent spike right after the first burst *)
   let spike_pos = before.(0).Sca.Segment.stop + 1 in
   t.(spike_pos) <- 30.0;
-  let after = Sca.Segment.burst_regions cfg t in
+  let after = Sca.Segment.burst_regions cfg (fv t) in
   Alcotest.(check int) "burst end unchanged" before.(0).Sca.Segment.stop after.(0).Sca.Segment.stop
 
 let test_segment_absolute_threshold () =
   let t = synthetic_trace ~bursts:2 ~quiet_len:200 ~burst_len:30 in
   let cfg = { Sca.Segment.default with Sca.Segment.threshold = Sca.Segment.Absolute 18.0 } in
-  Alcotest.(check int) "two bursts" 2 (Array.length (Sca.Segment.burst_regions cfg t))
+  Alcotest.(check int) "two bursts" 2 (Array.length (Sca.Segment.burst_regions cfg (fv t)))
 
 let test_segment_smooth () =
-  let s = Sca.Segment.smooth 1 [| 0.0; 3.0; 0.0 |] in
-  Alcotest.(check (float 1e-9)) "center" 1.0 s.(1);
-  Alcotest.(check (float 1e-9)) "edge" 1.5 s.(0)
+  let s = Sca.Segment.smooth 1 (fv [| 0.0; 3.0; 0.0 |]) in
+  Alcotest.(check (float 1e-9)) "center" 1.0 (Mathkit.Fvec.get s 1);
+  Alcotest.(check (float 1e-9)) "edge" 1.5 (Mathkit.Fvec.get s 0)
 
 let test_segment_empty () =
-  Alcotest.(check int) "empty trace" 0 (Array.length (Sca.Segment.burst_regions Sca.Segment.default [||]))
+  Alcotest.(check int) "empty trace" 0 (Array.length (Sca.Segment.burst_regions Sca.Segment.default (fv [||])))
 
-let test_vectorize_pads () =
-  let samples = Array.init 100 float_of_int in
-  let wins = [| { Sca.Segment.start = 90; stop = 95 } |] in
-  let v = (Sca.Segment.vectorize samples wins ~length:10).(0) in
-  Alcotest.(check (float 0.0)) "real sample" 90.0 v.(0);
-  Alcotest.(check (float 0.0)) "padded" 0.0 v.(7)
+let test_views_pads () =
+  let samples = fv (Array.init 100 float_of_int) in
+  let wins = [| { Sca.Segment.start = 90; stop = 95 }; { Sca.Segment.start = 10; stop = 30 } |] in
+  let vs = Sca.Segment.views samples wins ~length:10 in
+  Alcotest.(check (float 0.0)) "real sample" 90.0 (Mathkit.Fvec.get vs.(0) 0);
+  Alcotest.(check (float 0.0)) "padded" 0.0 (Mathkit.Fvec.get vs.(0) 7);
+  Alcotest.(check (float 0.0)) "long window clipped" 19.0 (Mathkit.Fvec.get vs.(1) 9)
 
 (* --- Sosd ------------------------------------------------------------------- *)
 
@@ -118,6 +120,16 @@ let test_sosd_pick () =
 
 (* --- Template ---------------------------------------------------------------- *)
 
+(* Score one vector; [priors] default to uniform, which only the
+   priored row reads. *)
+let template_scores ?priors t x =
+  let k = Array.length t.Sca.Template.labels in
+  let priors = Option.value priors ~default:(Array.make k 1.0) in
+  Sca.Template.scores ~priors t (Sca.Template.make_scratch t) (fv x)
+
+let template_classify t x =
+  t.Sca.Template.labels.(Mathkit.Stats.argmax (template_scores t x).Sca.Template.s_post)
+
 let gaussian_class g ~mu ~sigma ~count ~dim =
   let p = Mathkit.Gaussian.polar () in
   Array.init count (fun _ -> Array.init dim (fun j -> Mathkit.Gaussian.normal p g ~mu:mu.(j) ~sigma))
@@ -130,9 +142,9 @@ let test_template_classifies_separated_classes () =
   let correct = ref 0 in
   for _ = 1 to 200 do
     let x = (gaussian_class g ~mu:[| 0.0; 0.0 |] ~sigma:0.5 ~count:1 ~dim:2).(0) in
-    if Sca.Template.classify t x = 0 then incr correct;
+    if template_classify t x = 0 then incr correct;
     let y = (gaussian_class g ~mu:[| 3.0; 3.0 |] ~sigma:0.5 ~count:1 ~dim:2).(0) in
-    if Sca.Template.classify t y = 1 then incr correct
+    if template_classify t y = 1 then incr correct
   done;
   Alcotest.(check bool) "nearly all correct" true (!correct > 390)
 
@@ -141,7 +153,7 @@ let test_template_posterior_sums_to_one () =
   let c0 = gaussian_class g ~mu:[| 0.0 |] ~sigma:1.0 ~count:100 ~dim:1 in
   let c1 = gaussian_class g ~mu:[| 2.0 |] ~sigma:1.0 ~count:100 ~dim:1 in
   let t = Sca.Template.build ~pois:[| 0 |] [ (0, c0); (1, c1) ] in
-  let p = Sca.Template.posterior t [| 1.0 |] in
+  let p = (template_scores t [| 1.0 |]).Sca.Template.s_post in
   Alcotest.(check (float 1e-9)) "sums to 1" 1.0 (Array.fold_left ( +. ) 0.0 p)
 
 let test_template_posterior_with_priors () =
@@ -150,16 +162,19 @@ let test_template_posterior_with_priors () =
   let c1 = gaussian_class g ~mu:[| 0.0 |] ~sigma:1.0 ~count:100 ~dim:1 in
   (* identical classes: posterior = prior *)
   let t = Sca.Template.build ~pois:[| 0 |] [ (0, c0); (1, c1) ] in
-  let p = Sca.Template.posterior ~priors:[| 0.9; 0.1 |] t [| 0.0 |] in
+  let p = (template_scores ~priors:[| 0.9; 0.1 |] t [| 0.0 |]).Sca.Template.s_post_p in
   Alcotest.(check bool) "prior dominates" true (p.(0) > 0.8)
 
-let test_template_restrict () =
+let test_template_prior_length_checked () =
   let g = rng () in
   let mk mu = gaussian_class g ~mu:[| mu |] ~sigma:0.3 ~count:50 ~dim:1 in
   let t = Sca.Template.build ~pois:[| 0 |] [ (-1, mk (-2.0)); (1, mk 2.0); (2, mk 4.0) ] in
-  let r = Sca.Template.restrict t (fun l -> l > 0) in
-  Alcotest.(check (array int)) "labels" [| 1; 2 |] r.Sca.Template.labels;
-  Alcotest.(check int) "classify within restriction" 1 (Sca.Template.classify r [| 2.0 |])
+  let s = Sca.Template.make_scratch t in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "scores" true
+    (raises (fun () -> ignore (Sca.Template.scores ~priors:[| 0.5; 0.5 |] t s (fv [| 0.0 |]))));
+  Alcotest.(check bool) "priored_posterior" true
+    (raises (fun () -> ignore (Sca.Template.priored_posterior ~priors:[| 0.5; 0.5 |] t s (fv [| 0.0 |]))))
 
 let test_template_needs_two_rows () =
   Alcotest.check_raises "one row" (Invalid_argument "Template.build: class 0 needs >= 2 profiling vectors")
@@ -209,7 +224,7 @@ let suite =
       ("segment absolute threshold", test_segment_absolute_threshold);
       ("segment smoothing", test_segment_smooth);
       ("segment empty trace", test_segment_empty);
-      ("vectorize pads", test_vectorize_pads);
+      ("views pads", test_views_pads);
       ("sosd peak at difference", test_sosd_scores_peak_at_difference);
       ("sost suppresses noisy positions", test_sost_suppresses_noisy_positions);
       ("sosd select spacing", test_sosd_select_spacing);
@@ -218,7 +233,7 @@ let suite =
       ("template separated classes", test_template_classifies_separated_classes);
       ("template posterior sums to 1", test_template_posterior_sums_to_one);
       ("template priors", test_template_posterior_with_priors);
-      ("template restrict", test_template_restrict);
+      ("template prior length checked", test_template_prior_length_checked);
       ("template needs two rows", test_template_needs_two_rows);
       ("confusion counts", test_confusion_counts);
       ("confusion unknown label", test_confusion_unknown_label);
@@ -359,7 +374,7 @@ let test_pca_separates_class_means () =
   let p = Sca.Pca.fit ~k:1 classes in
   Alcotest.(check int) "one component" 1 (Sca.Pca.components p);
   (* projected class means must be well separated *)
-  let proj c = Mathkit.Stats.mean_a (Array.map (fun v -> v.(0)) (Sca.Pca.transform_all p c)) in
+  let proj c = Mathkit.Stats.mean_a (Array.map (fun v -> v.(0)) (Array.map (Sca.Pca.transform p) c)) in
   let d = Float.abs (proj (mk 0.0) -. proj (mk 3.0)) in
   Alcotest.(check bool) "separated in subspace" true (d > 3.0)
 
@@ -370,14 +385,14 @@ let test_pca_template_classifies () =
   let p = Sca.Pca.fit ~k:2 classes in
   let template =
     Sca.Template.build ~pois:[||]
-      (List.map (fun (l, rows) -> (l, Sca.Pca.transform_all p rows)) classes)
+      (List.map (fun (l, rows) -> (l, Array.map (Sca.Pca.transform p) rows)) classes)
   in
   let correct = ref 0 in
   for _ = 1 to 100 do
     List.iter
       (fun (label, offset) ->
         let x = (mk offset).(0) in
-        if Sca.Template.classify template (Sca.Pca.transform p x) = label then incr correct)
+        if template_classify template (Sca.Pca.transform p x) = label then incr correct)
       [ (0, 0.0); (1, 2.0); (2, 4.0) ]
   done;
   Alcotest.(check bool) "PCA-space templates work" true (!correct > 280)
@@ -423,7 +438,7 @@ let segment_qcheck =
           done;
           pos := !pos + len + 150 + Mathkit.Prng.int g 100
         done;
-        let wins = Sca.Segment.windows Sca.Segment.default t in
+        let wins = Sca.Segment.windows Sca.Segment.default (fv t) in
         let ok = ref true in
         Array.iteri
           (fun i w ->
@@ -446,8 +461,8 @@ let segment_qcheck =
               Array.make quiet 10.0;
             ]
         in
-        let bursts = Sca.Segment.burst_regions Sca.Segment.default t in
-        let wins = Sca.Segment.windows Sca.Segment.default t in
+        let bursts = Sca.Segment.burst_regions Sca.Segment.default (fv t) in
+        let wins = Sca.Segment.windows Sca.Segment.default (fv t) in
         Array.length bursts = Array.length wins
         && Array.for_all2 (fun b w -> b.Sca.Segment.stop = w.Sca.Segment.start) bursts wins);
   ]
@@ -471,27 +486,27 @@ let inject_burst samples lo len =
   t
 
 let test_segment_resilient_empty () =
-  Alcotest.(check bool) "typed error" true (Sca.Segment.segment Sca.Segment.default ~expected:3 [||] = Error Sca.Segment.Empty_trace)
+  Alcotest.(check bool) "typed error" true (Sca.Segment.segment Sca.Segment.default ~expected:3 (fv [||]) = Error Sca.Segment.Empty_trace)
 
 let test_segment_resilient_flat () =
   Alcotest.(check bool) "typed error" true
-    (Sca.Segment.segment Sca.Segment.default ~expected:3 (Array.make 2000 10.0) = Error Sca.Segment.Flat_trace)
+    (Sca.Segment.segment Sca.Segment.default ~expected:3 (fv (Array.make 2000 10.0)) = Error Sca.Segment.Flat_trace)
 
 let test_segment_resilient_invalid_expected () =
   Alcotest.check_raises "expected must be positive" (Invalid_argument "Segment.segment: expected must be positive")
-    (fun () -> ignore (Sca.Segment.segment Sca.Segment.default ~expected:0 [| 1.0 |]))
+    (fun () -> ignore (Sca.Segment.segment Sca.Segment.default ~expected:0 (fv [| 1.0 |])))
 
 let test_segment_resilient_clean_matches_windows () =
   let t = synthetic_trace ~bursts:5 ~quiet_len:200 ~burst_len:30 in
-  match Sca.Segment.segment Sca.Segment.default ~expected:5 t with
+  match Sca.Segment.segment Sca.Segment.default ~expected:5 (fv t) with
   | Error e -> Alcotest.fail (Sca.Segment.error_to_string e)
   | Ok seg ->
-      Alcotest.(check bool) "same windows as the classic path" true (seg.Sca.Segment.wins = Sca.Segment.windows Sca.Segment.default t);
+      Alcotest.(check bool) "same windows as the classic path" true (seg.Sca.Segment.wins = Sca.Segment.windows Sca.Segment.default (fv t));
       Alcotest.(check bool) "all Clean" true (Array.for_all (fun q -> q = Sca.Segment.Clean) seg.Sca.Segment.quality)
 
 let test_segment_resilient_count_mismatch () =
   let t = synthetic_trace ~bursts:3 ~quiet_len:200 ~burst_len:30 in
-  match Sca.Segment.segment Sca.Segment.default ~expected:9 t with
+  match Sca.Segment.segment Sca.Segment.default ~expected:9 (fv t) with
   | Error (Sca.Segment.Count_mismatch { expected = 9; found }) ->
       Alcotest.(check bool) "reports what it found" true (found < 9)
   | Ok _ | Error _ -> Alcotest.fail "hopeless count mismatch not reported"
@@ -500,8 +515,8 @@ let test_segment_resilient_missed_burst () =
   let t = synthetic_trace ~bursts:5 ~quiet_len:200 ~burst_len:30 in
   (* erase the middle burst: starts at 3*200 + 2*30 *)
   let t = erase_range t 660 30 in
-  Alcotest.(check int) "one burst really missing" 4 (Array.length (Sca.Segment.burst_regions Sca.Segment.default t));
-  match Sca.Segment.segment Sca.Segment.default ~expected:5 t with
+  Alcotest.(check int) "one burst really missing" 4 (Array.length (Sca.Segment.burst_regions Sca.Segment.default (fv t)));
+  match Sca.Segment.segment Sca.Segment.default ~expected:5 (fv t) with
   | Error e -> Alcotest.fail (Sca.Segment.error_to_string e)
   | Ok seg ->
       Alcotest.(check int) "resynchronised to the expected count" 5 (Array.length seg.Sca.Segment.wins);
@@ -514,8 +529,8 @@ let test_segment_resilient_spurious_burst () =
   let t = synthetic_trace ~bursts:4 ~quiet_len:200 ~burst_len:30 in
   (* a glitch masquerading as a (short) distribution call inside window 1 *)
   let t = inject_burst t 540 8 in
-  Alcotest.(check int) "glitch detected as a burst" 5 (Array.length (Sca.Segment.burst_regions Sca.Segment.default t));
-  match Sca.Segment.segment Sca.Segment.default ~expected:4 t with
+  Alcotest.(check int) "glitch detected as a burst" 5 (Array.length (Sca.Segment.burst_regions Sca.Segment.default (fv t)));
+  match Sca.Segment.segment Sca.Segment.default ~expected:4 (fv t) with
   | Error e -> Alcotest.fail (Sca.Segment.error_to_string e)
   | Ok seg ->
       Alcotest.(check int) "spurious burst dropped" 4 (Array.length seg.Sca.Segment.wins);
@@ -524,10 +539,10 @@ let test_segment_resilient_spurious_burst () =
 
 let test_segment_auto_threshold_flat_guard () =
   Alcotest.(check (float 1e-9)) "flat trace: threshold at the level" 10.0
-    (Sca.Segment.auto_threshold Sca.Segment.default (Array.make 512 10.0));
-  Alcotest.(check (float 1e-9)) "empty trace: zero" 0.0 (Sca.Segment.auto_threshold Sca.Segment.default [||]);
+    (Sca.Segment.auto_threshold Sca.Segment.default (fv (Array.make 512 10.0)));
+  Alcotest.(check (float 1e-9)) "empty trace: zero" 0.0 (Sca.Segment.auto_threshold Sca.Segment.default (fv [||]));
   Alcotest.(check int) "flat trace: no bursts" 0
-    (Array.length (Sca.Segment.burst_regions Sca.Segment.default (Array.make 512 10.0)))
+    (Array.length (Sca.Segment.burst_regions Sca.Segment.default (fv (Array.make 512 10.0))))
 
 let resilient_cases =
   [
@@ -543,13 +558,73 @@ let resilient_cases =
 
 let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) resilient_cases
 
-(* --- Fvec scoring bit-identity (numeric core refactor) --------------------- *)
+(* --- scoring against the boxed oracle ----------------------------------------- *)
 
-(* The refactor's contract: the Fvec scoring path — including the fused
-   [grade_fv] — must reproduce the boxed [float array] entry points bit
-   for bit, for every grading quantity.  Checked on IEEE bit patterns
-   over randomly drawn windows at the pinned seed 54398. *)
+(* The textbook [float array] formulation of the combined template
+   attack, one small function per quantity.  It is the reference the
+   library's single Fvec scoring path ([Attack.grade] and the fit
+   functions over [Template.scores]) must reproduce bit for bit; it
+   lives here, not in lib, so that lib carries one implementation. *)
+module Oracle = struct
+  let log_likelihoods (t : Sca.Template.t) x =
+    let inv_cov = Mathkit.Fmat.to_matrix t.Sca.Template.inv_cov in
+    let d = float_of_int (Array.length x) in
+    let const = -0.5 *. ((d *. log (2.0 *. Float.pi)) +. t.Sca.Template.log_det) in
+    Array.map (fun mu -> const -. (0.5 *. Mathkit.Linalg.mahalanobis_sq ~inv_cov x mu)) t.Sca.Template.means
 
+  let posterior ?priors t x =
+    let ll = log_likelihoods t x in
+    Option.iter (Array.iteri (fun i pi -> ll.(i) <- ll.(i) +. log (Float.max pi 1e-300))) priors;
+    let z = Mathkit.Stats.log_sum_exp ll in
+    Array.map (fun l -> exp (l -. z)) ll
+
+  let best_log_likelihood t x = Array.fold_left Float.max neg_infinity (log_likelihoods t x)
+
+  open Sca.Attack
+
+  let sign_post ?priors a w = posterior ?priors a.sign_template (Sca.Sosd.pick w a.pois_sign)
+  let sign_confidence a w = Array.fold_left Float.max 0.0 (sign_post a w)
+  let sign_fit a w = best_log_likelihood a.sign_template (Sca.Sosd.pick w a.pois_sign)
+
+  let group a sign =
+    if sign < 0 then (a.neg_template, a.neg_priors, a.pois_neg) else (a.pos_template, a.pos_priors, a.pois_pos)
+
+  let value_fit a ~sign w =
+    if sign = 0 then sign_fit a w
+    else
+      let t, _, pois = group a sign in
+      best_log_likelihood t (Sca.Sosd.pick w pois)
+
+  (* maximum likelihood: no prior in the verdict *)
+  let classify a w =
+    let sign = a.sign_template.Sca.Template.labels.(Mathkit.Stats.argmax (sign_post a w)) in
+    if sign = 0 then { sign; value = 0; posterior = [| (0, 1.0) |] }
+    else
+      let t, _, pois = group a sign in
+      let post = posterior t (Sca.Sosd.pick w pois) in
+      let labels = t.Sca.Template.labels in
+      { sign; value = labels.(Mathkit.Stats.argmax post); posterior = Array.mapi (fun i l -> (l, post.(i))) labels }
+
+  (* Bayesian: the Gaussian prior across and within sign groups *)
+  let posterior_all a w =
+    let sp = sign_post ~priors:a.prior_of_sign a w in
+    let p_of_sign s =
+      let acc = ref 0.0 in
+      Array.iteri (fun i l -> if l = s then acc := sp.(i)) a.sign_template.Sca.Template.labels;
+      !acc
+    in
+    let group_rows s =
+      let t, priors, pois = group a s in
+      let post = posterior ~priors t (Sca.Sosd.pick w pois) in
+      Array.to_list (Array.mapi (fun i l -> (l, p_of_sign s *. post.(i))) t.Sca.Template.labels)
+    in
+    let arr = Array.of_list (((0, p_of_sign 0) :: group_rows (-1)) @ group_rows 1) in
+    Array.sort (fun (x, _) (y, _) -> compare x y) arr;
+    arr
+end
+
+(* Randomly drawn windows at the pinned seed 54398, compared on IEEE
+   bit patterns. *)
 let scoring_fixture =
   lazy
     (let g = Mathkit.Prng.create ~seed:54398L () in
@@ -581,42 +656,52 @@ let verdict_eq (a : Sca.Attack.verdict) (b : Sca.Attack.verdict) =
   && a.Sca.Attack.value = b.Sca.Attack.value
   && posterior_eq a.Sca.Attack.posterior b.Sca.Attack.posterior
 
-let fv_scoring_qcheck =
+let oracle_qcheck =
   let open QCheck in
+  let module C = Sca.Classifier.Template in
   [
     Test.make ~name:"attack: fvec path bit-identical to boxed (seed 54398)" ~count:60
       (int_bound 1_000_000)
       (fun seed ->
         let attack, scratch, dim = Lazy.force scoring_fixture in
         let window = scoring_window ~dim seed in
-        let wfv = Mathkit.Fvec.of_array window in
-        let v_b = Sca.Attack.classify attack window in
-        verdict_eq v_b (Sca.Attack.classify_fv attack scratch wfv)
-        && Sca.Attack.classify_sign_only attack window
-           = Sca.Attack.classify_sign_only_fv attack scratch wfv
-        && sbits (Sca.Attack.sign_confidence attack window)
-           = sbits (Sca.Attack.sign_confidence_fv attack scratch wfv)
-        && sbits (Sca.Attack.sign_fit attack window)
-           = sbits (Sca.Attack.sign_fit_fv attack scratch wfv)
-        && sbits (Sca.Attack.value_fit attack ~sign:v_b.Sca.Attack.sign window)
-           = sbits (Sca.Attack.value_fit_fv attack scratch ~sign:v_b.Sca.Attack.sign wfv)
-        && posterior_eq
-             (Sca.Attack.posterior_all attack window)
-             (Sca.Attack.posterior_all_fv attack scratch wfv));
-    Test.make ~name:"attack: fused grade_fv equals the five separate calls (seed 54398)" ~count:60
+        let wfv = fv window in
+        sbits (Sca.Attack.sign_fit attack scratch wfv) = sbits (Oracle.sign_fit attack window)
+        && List.for_all
+             (fun sign ->
+               sbits (Sca.Attack.value_fit attack scratch ~sign wfv)
+               = sbits (Oracle.value_fit attack ~sign window))
+             [ -1; 0; 1 ]);
+    Test.make ~name:"attack: fused grade equals the five boxed calls (seed 54398)" ~count:60
       (int_bound 1_000_000)
       (fun seed ->
         let attack, scratch, dim = Lazy.force scoring_fixture in
         let window = scoring_window ~dim seed in
-        let wfv = Mathkit.Fvec.of_array window in
-        let g = Sca.Attack.grade_fv attack scratch wfv in
-        let v = Sca.Attack.classify attack window in
+        let g = Sca.Attack.grade attack scratch (fv window) in
+        let v = Oracle.classify attack window in
         verdict_eq g.Sca.Attack.g_verdict v
-        && posterior_eq g.Sca.Attack.g_posterior_all (Sca.Attack.posterior_all attack window)
-        && sbits g.Sca.Attack.g_sign_confidence = sbits (Sca.Attack.sign_confidence attack window)
-        && sbits g.Sca.Attack.g_sign_fit = sbits (Sca.Attack.sign_fit attack window)
-        && sbits g.Sca.Attack.g_value_fit
-           = sbits (Sca.Attack.value_fit attack ~sign:v.Sca.Attack.sign window));
+        && posterior_eq g.Sca.Attack.g_posterior_all (Oracle.posterior_all attack window)
+        && sbits g.Sca.Attack.g_sign_confidence = sbits (Oracle.sign_confidence attack window)
+        && sbits g.Sca.Attack.g_sign_fit = sbits (Oracle.sign_fit attack window)
+        && sbits g.Sca.Attack.g_value_fit = sbits (Oracle.value_fit attack ~sign:v.Sca.Attack.sign window));
+    Test.make ~name:"classifier: template entries equal the boxed calls (seed 54398)" ~count:60
+      (int_bound 1_000_000)
+      (fun seed ->
+        let attack, _, dim = Lazy.force scoring_fixture in
+        let s = C.make_scratch attack in
+        let window = scoring_window ~dim seed in
+        let wfv = fv window in
+        let v = C.classify attack s wfv in
+        let g = C.grade attack s wfv in
+        verdict_eq v (Oracle.classify attack window)
+        && verdict_eq g.Sca.Attack.g_verdict v
+        && posterior_eq (C.posterior_all attack s wfv) (Oracle.posterior_all attack window)
+        && sbits (C.sign_confidence attack s wfv) = sbits (Oracle.sign_confidence attack window)
+        && sbits (C.sign_fit attack s wfv) = sbits (Oracle.sign_fit attack window)
+        && List.for_all
+             (fun sign ->
+               sbits (C.value_fit attack s ~sign wfv) = sbits (Oracle.value_fit attack ~sign window))
+             [ -1; 0; 1 ]);
   ]
 
-let suite = suite @ List.map QCheck_alcotest.to_alcotest fv_scoring_qcheck
+let suite = suite @ List.map QCheck_alcotest.to_alcotest oracle_qcheck
