@@ -114,34 +114,6 @@ let run_fault_sweep cfg =
   | Error msg -> Printf.printf "WARNING: sweep invariants violated:\n%s\n" msg);
   print_string (Reveal.Experiment.render_zero_consistency (Reveal.Experiment.fault_zero_consistency cfg))
 
-let run_traceio _cfg =
-  section "traceio: archive write/read throughput";
-  ensure_out_dir ();
-  let path = Filename.concat out_dir "bench_campaign.rvt" in
-  let traces = 8 and n = 64 in
-  let device = Reveal.Device.create ~n () in
-  let g = Mathkit.Prng.create ~seed:5L () in
-  let t0 = Unix.gettimeofday () in
-  Reveal.Device.record device ~path ~seed:5L ~traces ~scope_rng:g ~sampler_rng:g;
-  let t_write = Unix.gettimeofday () -. t0 in
-  let size = Traceio.Archive.file_size path in
-  let t0 = Unix.gettimeofday () in
-  let samples, raw =
-    Traceio.Archive.fold path
-      (fun (s, r) record ->
-        let len = Power.Ptrace.length record.Traceio.Archive.trace in
-        let events = Array.length record.Traceio.Archive.trace.Power.Ptrace.event_start in
-        (s + len, r + (8 * (len + (2 * events) + Array.length record.Traceio.Archive.noises))))
-      (0, 0)
-  in
-  let t_read = Unix.gettimeofday () -. t0 in
-  let mb x = float_of_int x /. 1048576.0 in
-  Printf.printf "recorded %d traces (n = %d): %d samples, %.2f MiB on disk (%.2fx vs raw 64-bit dump)\n" traces n
-    samples (mb size)
-    (float_of_int raw /. float_of_int size);
-  Printf.printf "  capture+encode  %.3f s (%.1f MiB/s)\n" t_write (mb size /. t_write);
-  Printf.printf "  read+verify     %.3f s (%.1f MiB/s, every checksum checked)\n" t_read (mb size /. t_read)
-
 let run_ctcheck _cfg =
   section "ctcheck: constant-time lint of the four firmware variants";
   List.iter
@@ -162,49 +134,6 @@ let run_ctcheck _cfg =
       ("shuffled", Riscv.Sampler_prog.Shuffled);
       ("cdt", Riscv.Sampler_prog.Cdt_table);
     ]
-
-let run_obs _cfg =
-  section "obs: per-stage pipeline timings and instrumentation overhead";
-  ensure_out_dir ();
-  let archive = Filename.concat out_dir "obs_campaign.rvt" in
-  let traces = 6 and n = 64 in
-  let device = Reveal.Device.create ~n () in
-  let g = Mathkit.Prng.create ~seed:7L () in
-  Reveal.Device.record device ~path:archive ~seed:7L ~traces ~scope_rng:g ~sampler_rng:g;
-  let prof = Reveal.Campaign.profile ~per_value:60 device (Mathkit.Prng.create ~seed:7L ()) in
-  (* instrumented replay: every stage span and metric into a JSONL trace *)
-  let trace_path = Filename.concat out_dir "obs_run.jsonl" in
-  let obs = Obs.Ctx.create ~sink:(Obs.Sink.file trace_path) () in
-  ignore (Reveal.Campaign.attack_archive ~obs prof archive);
-  Obs.Ctx.close obs;
-  Printf.printf "(obs trace written to %s)\n" trace_path;
-  (match Obs.Summary.load trace_path with
-  | Error e -> Printf.printf "WARNING: unreadable obs trace: %s\n" e
-  | Ok s ->
-      print_string (Obs.Summary.render s);
-      let json_path = Filename.concat out_dir "obs_stages.json" in
-      let oc = open_out json_path in
-      output_string oc (Obs.Json.to_string (Obs.Summary.to_json s));
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "(per-stage timings written to %s)\n" json_path);
-  (* the disabled context must cost nothing: replay the same campaign
-     with and without instrumentation and report the wall-clock delta *)
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    Unix.gettimeofday () -. t0
-  in
-  let replay obs () = Reveal.Campaign.attack_archive ?obs prof archive in
-  ignore (time (replay None));
-  (* warm-up *)
-  let t_plain = time (replay None) in
-  let sink, _ = Obs.Sink.memory () in
-  let obs2 = Obs.Ctx.create ~sink () in
-  let t_obs = time (replay (Some obs2)) in
-  Obs.Ctx.close obs2;
-  Printf.printf "replay wall-clock: disabled %.3f s, instrumented %.3f s (%+.1f%% when enabled)\n" t_plain t_obs
-    (100.0 *. (t_obs -. t_plain) /. t_plain)
 
 (* --- Bechamel micro-benchmarks: one per table/figure kernel ------------- *)
 
@@ -520,9 +449,7 @@ let usage () =
     \  ablate-poi      POI-count sweep\n\
     \  ablate-features feature-extraction comparison (SOST/SOSD/PCA/correlation)\n\
     \  fault-sweep     measurement-fault intensity sweep (recovery / bikz curves)\n\
-    \  traceio         trace-archive write/read throughput\n\
     \  ctcheck         constant-time lint of every firmware variant\n\
-    \  obs             per-stage pipeline timings + instrumentation overhead\n\
     \  perf            Bechamel micro-benchmarks"
 
 let () =
@@ -566,8 +493,6 @@ let () =
   | [ "ablate-features" ] -> run_ablate_features cfg
   | [ "ablate-timing" ] -> run_ablate_timing cfg
   | [ "fault-sweep" ] -> run_fault_sweep cfg
-  | [ "traceio" ] -> run_traceio cfg
   | [ "ctcheck" ] -> run_ctcheck cfg
-  | [ "obs" ] -> run_obs cfg
   | [ "perf" ] -> run_perf ()
   | _ -> usage ()

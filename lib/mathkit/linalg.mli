@@ -14,15 +14,8 @@ val cholesky : Matrix.t -> Matrix.t
 (** Lower-triangular L with L L^T = A for symmetric positive-definite A.
     @raise Singular otherwise. *)
 
-val lu : Matrix.t -> Matrix.t * int array * int
-(** [lu a] is (packed LU factors, row permutation, permutation sign).
-    @raise Singular on singular input. *)
-
 val solve : Matrix.t -> float array -> float array
 (** Solve A x = b by LU with partial pivoting. *)
-
-val solve_many : Matrix.t -> Matrix.t -> Matrix.t
-(** Solve A X = B column-by-column. *)
 
 val inverse : Matrix.t -> Matrix.t
 val logdet : Matrix.t -> float

@@ -1,10 +1,25 @@
-type t = { r : int; c : int; a : float array array }
+(* Flat row-major Float64 storage over the Fvec buffer type: cell
+   (i, j) lives at [data.{(i * c) + j}].  Every access below goes
+   through Bigarray's checked [.{}] except the quadratic form's inner
+   loop, which validates its ranges once up front. *)
+
+type t = { r : int; c : int; data : Fvec.buffer }
 
 let create r c =
   if r < 0 || c < 0 then invalid_arg "Matrix.create";
-  { r; c; a = Array.make_matrix r c 0.0 }
+  let data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (r * c) in
+  Bigarray.Array1.fill data 0.0;
+  { r; c; data }
 
-let init r c f = { r; c; a = Array.init r (fun i -> Array.init c (fun j -> f i j)) }
+(* [f] is called in row-major order. *)
+let init r c f =
+  let m = create r c in
+  for i = 0 to r - 1 do
+    for j = 0 to c - 1 do
+      m.data.{(i * c) + j} <- f i j
+    done
+  done;
+  m
 
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
@@ -12,39 +27,57 @@ let of_arrays a =
   let r = Array.length a in
   let c = if r = 0 then 0 else Array.length a.(0) in
   Array.iter (fun row -> if Array.length row <> c then invalid_arg "Matrix.of_arrays: ragged") a;
-  { r; c; a = Array.map Array.copy a }
+  init r c (fun i j -> a.(i).(j))
 
-let to_arrays m = Array.map Array.copy m.a
 let rows m = m.r
 let cols m = m.c
-let get m i j = m.a.(i).(j)
-let set m i j v = m.a.(i).(j) <- v
-let copy m = { m with a = Array.map Array.copy m.a }
-let transpose m = init m.c m.r (fun i j -> m.a.(j).(i))
+
+(* With [j] in [0, c), the flat index [(i * c) + j] is inside the
+   buffer exactly when [i] is in [0, r), so the checked Bigarray access
+   settles the row bound. *)
+let get m i j =
+  if j < 0 || j >= m.c then invalid_arg "Matrix.get: column out of bounds";
+  m.data.{(i * m.c) + j}
+
+let set m i j v =
+  if j < 0 || j >= m.c then invalid_arg "Matrix.set: column out of bounds";
+  m.data.{(i * m.c) + j} <- v
+
+let to_arrays m = Array.init m.r (fun i -> Array.init m.c (fun j -> get m i j))
+
+let map f m =
+  let out = create m.r m.c in
+  for k = 0 to (m.r * m.c) - 1 do
+    out.data.{k} <- f m.data.{k}
+  done;
+  out
+
+let copy m = map Fun.id m
+let transpose m = init m.c m.r (fun i j -> get m j i)
 
 let check_same m n = if m.r <> n.r || m.c <> n.c then invalid_arg "Matrix: shape mismatch"
 
 let add m n =
   check_same m n;
-  init m.r m.c (fun i j -> m.a.(i).(j) +. n.a.(i).(j))
+  let out = create m.r m.c in
+  for k = 0 to (m.r * m.c) - 1 do
+    out.data.{k} <- m.data.{k} +. n.data.{k}
+  done;
+  out
 
-let sub m n =
-  check_same m n;
-  init m.r m.c (fun i j -> m.a.(i).(j) -. n.a.(i).(j))
-
-let scale s m = init m.r m.c (fun i j -> s *. m.a.(i).(j))
+let scale s m = map (fun x -> s *. x) m
 
 let mul m n =
   if m.c <> n.r then invalid_arg "Matrix.mul: inner dimension mismatch";
   let out = create m.r n.c in
   for i = 0 to m.r - 1 do
-    let mi = m.a.(i) and oi = out.a.(i) in
+    let oi = i * n.c in
     for k = 0 to m.c - 1 do
-      let mik = mi.(k) in
+      let mik = m.data.{(i * m.c) + k} in
       if mik <> 0.0 then begin
-        let nk = n.a.(k) in
+        let nk = k * n.c in
         for j = 0 to n.c - 1 do
-          oi.(j) <- oi.(j) +. (mik *. nk.(j))
+          out.data.{oi + j} <- out.data.{oi + j} +. (mik *. n.data.{nk + j})
         done
       end
     done
@@ -55,12 +88,11 @@ let mul_vec m v =
   if m.c <> Array.length v then invalid_arg "Matrix.mul_vec: dimension mismatch";
   Array.init m.r (fun i ->
       let acc = ref 0.0 in
+      let base = i * m.c in
       for j = 0 to m.c - 1 do
-        acc := !acc +. (m.a.(i).(j) *. v.(j))
+        acc := !acc +. (m.data.{base + j} *. v.(j))
       done;
       !acc)
-
-let outer u v = init (Array.length u) (Array.length v) (fun i j -> u.(i) *. v.(j))
 
 let dot u v =
   if Array.length u <> Array.length v then invalid_arg "Matrix.dot: length mismatch";
@@ -76,46 +108,49 @@ let axpy a x y =
     y.(i) <- y.(i) +. (a *. x.(i))
   done
 
-let row m i = Array.copy m.a.(i)
-let col m j = Array.init m.r (fun i -> m.a.(i).(j))
+let col m j = Array.init m.r (fun i -> get m i j)
 
 let trace m =
   let n = min m.r m.c in
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
-    acc := !acc +. m.a.(i).(i)
+    acc := !acc +. m.data.{(i * m.c) + i}
   done;
   !acc
 
 let frobenius m =
   let acc = ref 0.0 in
-  for i = 0 to m.r - 1 do
-    for j = 0 to m.c - 1 do
-      acc := !acc +. (m.a.(i).(j) *. m.a.(i).(j))
-    done
+  for k = 0 to (m.r * m.c) - 1 do
+    acc := !acc +. (m.data.{k} *. m.data.{k})
   done;
   sqrt !acc
 
 let max_abs_diff m n =
   check_same m n;
   let acc = ref 0.0 in
-  for i = 0 to m.r - 1 do
-    for j = 0 to m.c - 1 do
-      acc := Float.max !acc (Float.abs (m.a.(i).(j) -. n.a.(i).(j)))
-    done
+  for k = 0 to (m.r * m.c) - 1 do
+    acc := Float.max !acc (Float.abs (m.data.{k} -. n.data.{k}))
   done;
   !acc
 
-let is_symmetric ?(tol = 1e-9) m = m.r = m.c && max_abs_diff m (transpose m) <= tol
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.r - 1 do
-    Format.fprintf fmt "[";
-    for j = 0 to m.c - 1 do
-      if j > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "%g" m.a.(i).(j)
+(* d^T m d, fused but in the exact accumulation order of
+   [dot d (mul_vec m d)]: row sums j-ascending, outer sum
+   i-ascending.  This is the Mahalanobis inner loop. *)
+let quadratic_form m d =
+  if m.r <> m.c then invalid_arg "Matrix.quadratic_form: matrix not square";
+  if Fvec.length d <> m.c then invalid_arg "Matrix.quadratic_form: dimension mismatch";
+  let n = m.c in
+  let dbuf = Fvec.buffer d and doff = Fvec.offset d in
+  Fvec.check_range dbuf ~off:doff ~len:n "Matrix.quadratic_form";
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    let acc = ref 0.0 in
+    let base = i * n in
+    for j = 0 to n - 1 do
+      (* srclint: allow unsafe-index both ranges validated by the dimension checks and check_range above *)
+      acc := !acc +. (Bigarray.Array1.unsafe_get m.data (base + j) *. Bigarray.Array1.unsafe_get dbuf (doff + j))
     done;
-    Format.fprintf fmt "]@,"
+    (* srclint: allow unsafe-index i stays inside the range validated above *)
+    total := !total +. (Bigarray.Array1.unsafe_get dbuf (doff + i) *. !acc)
   done;
-  Format.fprintf fmt "@]"
+  !total

@@ -8,7 +8,7 @@ let put_template b (t : Sca.Template.t) =
   Traceio.Codec.put_ints b t.Sca.Template.labels;
   Traceio.Binio.put_varint b (Int64.of_int (Array.length t.Sca.Template.means));
   Array.iter (Traceio.Codec.put_floats b) t.Sca.Template.means;
-  let cov = Mathkit.Matrix.to_arrays (Mathkit.Fmat.to_matrix t.Sca.Template.inv_cov) in
+  let cov = Mathkit.Matrix.to_arrays t.Sca.Template.inv_cov in
   Traceio.Binio.put_varint b (Int64.of_int (Array.length cov));
   Array.iter (Traceio.Codec.put_floats b) cov;
   Traceio.Binio.put_f64 b t.Sca.Template.log_det;
@@ -29,7 +29,7 @@ let get_template ~path c =
     cov;
   let log_det = Traceio.Binio.get_f64 c in
   let pois = Traceio.Codec.get_ints c in
-  let inv_cov = Mathkit.Fmat.of_matrix (Mathkit.Matrix.of_arrays cov) in
+  let inv_cov = Mathkit.Matrix.of_arrays cov in
   { Sca.Template.labels; means; inv_cov; log_det; pois }
 
 let put_threshold b = function

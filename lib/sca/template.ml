@@ -1,7 +1,7 @@
 type t = {
   labels : int array;
   means : float array array;
-  inv_cov : Mathkit.Fmat.t;
+  inv_cov : Mathkit.Matrix.t;
   log_det : float;
   pois : int array;
 }
@@ -20,7 +20,7 @@ let build ?(regularization = 1e-6) ~pois classes =
   let mean_diag = Mathkit.Matrix.trace pooled /. float_of_int d in
   let eps = regularization *. Float.max mean_diag 1e-12 in
   let cov = Mathkit.Linalg.regularize pooled eps in
-  let inv_cov = Mathkit.Fmat.of_matrix (Mathkit.Linalg.inverse cov) in
+  let inv_cov = Mathkit.Linalg.inverse cov in
   let log_det = Mathkit.Linalg.logdet cov in
   { labels; means; inv_cov; log_det; pois }
 
@@ -43,7 +43,7 @@ let make_scratch ?arena t =
   { diff; ll = Array.make k 0.0; post = Array.make k 0.0; post_p = Array.make k 0.0 }
 
 (* The one log-likelihood kernel: per class, const - (x-mu)^T S^-1 (x-mu) / 2.
-   [Fmat.quadratic_form] accumulates in the order of
+   [Matrix.quadratic_form] accumulates in the order of
    [Matrix.dot d (Matrix.mul_vec inv_cov d)], so the rows carry the
    bits of the textbook array formulation the tests keep as oracle. *)
 let log_likelihoods t s x =
@@ -52,18 +52,18 @@ let log_likelihoods t s x =
   if Fvec.length s.diff <> dim then invalid_arg "Template.log_likelihoods: scratch dimension mismatch";
   let d = float_of_int dim in
   let const = -0.5 *. ((d *. log (2.0 *. Float.pi)) +. t.log_det) in
-  let xbuf = Fvec.buffer x and xoff = Fvec.offset x and xstr = Fvec.stride x in
-  let dbuf = Fvec.buffer s.diff and doff = Fvec.offset s.diff and dstr = Fvec.stride s.diff in
-  Fvec.check_range xbuf ~off:xoff ~stride:xstr ~len:dim "Template.log_likelihoods";
-  Fvec.check_range dbuf ~off:doff ~stride:dstr ~len:dim "Template.log_likelihoods";
+  let xbuf = Fvec.buffer x and xoff = Fvec.offset x in
+  let dbuf = Fvec.buffer s.diff and doff = Fvec.offset s.diff in
+  Fvec.check_range xbuf ~off:xoff ~len:dim "Template.log_likelihoods";
+  Fvec.check_range dbuf ~off:doff ~len:dim "Template.log_likelihoods";
   Array.iteri
     (fun k mu ->
       if Array.length mu <> dim then invalid_arg "Template.log_likelihoods: mean length mismatch";
       for j = 0 to dim - 1 do
         (* srclint: allow unsafe-index both view ranges check_range'd above, mu length checked per class *)
-        Bigarray.Array1.unsafe_set dbuf (doff + (j * dstr)) (Bigarray.Array1.unsafe_get xbuf (xoff + (j * xstr)) -. Array.unsafe_get mu j)
+        Bigarray.Array1.unsafe_set dbuf (doff + j) (Bigarray.Array1.unsafe_get xbuf (xoff + j) -. Array.unsafe_get mu j)
       done;
-      s.ll.(k) <- const -. (0.5 *. Fmat.quadratic_form t.inv_cov s.diff))
+      s.ll.(k) <- const -. (0.5 *. Matrix.quadratic_form t.inv_cov s.diff))
     t.means;
   s.ll
 

@@ -13,7 +13,7 @@
 type t = {
   labels : int array;  (** class labels, e.g. coefficient values *)
   means : float array array;
-  inv_cov : Mathkit.Fmat.t;  (** inverse pooled covariance, flat row-major *)
+  inv_cov : Mathkit.Matrix.t;  (** inverse pooled covariance *)
   log_det : float;
   pois : int array;  (** POI indices into the window, kept for bookkeeping *)
 }

@@ -25,10 +25,10 @@
       {e message strings} rather than exception families —
       [Triage.Signature] already learned this lesson the hard way.
     - {!Unsafe_index}: [*.unsafe_get] / [*.unsafe_set] anywhere —
-      bounds-unchecked access is sanctioned only in the audited
-      {!Mathkit.Fvec} kernel loops (which validate bounds up front
-      and re-enable checked access under [REVEAL_FVEC_BOUNDS=1]),
-      each site carrying its own allow with a written reason.
+      bounds-unchecked access is sanctioned only in audited kernel
+      loops that validate their whole index range up front (the
+      {!Mathkit.Fvec} kernels and their siblings), each site carrying
+      its own allow with a written reason.
 
     Suppression is per-site via an allow comment naming the rule and
     a written reason (syntax in DESIGN.md §15); unused suppressions

@@ -26,7 +26,7 @@ let get_floats_fv c =
   if n > Binio.remaining c then Error.corruptf "float array claims %d elements but only %d bytes remain" n (Binio.remaining c);
   let v = Mathkit.Fvec.create n in
   let buf = Mathkit.Fvec.buffer v in
-  Mathkit.Fvec.check_range buf ~off:0 ~stride:1 ~len:n "Codec.get_floats_fv";
+  Mathkit.Fvec.check_range buf ~off:0 ~len:n "Codec.get_floats_fv";
   for i = 0 to n - 1 do
     let prev =
       if i = 0 then 0L

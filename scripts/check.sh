@@ -110,6 +110,11 @@ dune exec bin/reveal_cli.exe -- report averaging --seed 54398 -n 64 --per-value 
   | cmp - test/golden/averaging.txt
 dune exec bin/reveal_cli.exe -- report ablate-features --seed 54398 -n 64 --per-value 80 --traces 2 \
   | cmp - test/golden/ablate-features.txt
+# the profile cache bytes (templates, inverse covariances, fit floors)
+# must reproduce the committed golden too
+dune exec bin/reveal_cli.exe -- profile --seed 54398 -n 64 --per-value 80 -o "$tmp/profile-54398.bin" \
+  > /dev/null
+cmp "$tmp/profile-54398.bin" test/golden/profile-54398.bin
 dune exec bin/reveal_cli.exe -- report signs --seed 7 -n 64 --per-value 40 --json > "$tmp/report.json"
 json_ok "$tmp/report.json" correct total accuracy_percent
 # unknown artefacts are a usage error

@@ -419,6 +419,24 @@ let test_matrix_transpose_involution () =
   let a = mat [| [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] |] in
   Alcotest.(check (float 0.0)) "(A^T)^T = A" 0.0 (Matrix.max_abs_diff a (Matrix.transpose (Matrix.transpose a)))
 
+(* The flat layout keeps every dimension check: column [cols] on row 0
+   is a flat index inside the buffer, yet still out of bounds. *)
+let test_matrix_checks () =
+  let a = mat [| [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] |] in
+  let raises name f = Alcotest.(check bool) name true (try f (); false with Invalid_argument _ -> true) in
+  raises "get column = cols" (fun () -> ignore (Matrix.get a 0 3));
+  raises "set column = cols" (fun () -> Matrix.set a 0 3 0.0);
+  raises "get negative column" (fun () -> ignore (Matrix.get a 1 (-1)));
+  raises "get row = rows" (fun () -> ignore (Matrix.get a 2 0));
+  raises "get negative row" (fun () -> ignore (Matrix.get a (-1) 2));
+  raises "ragged of_arrays" (fun () -> ignore (mat [| [| 1.0; 2.0 |]; [| 3.0 |] |]));
+  let visits = ref [] in
+  ignore (Matrix.init 2 3 (fun i j -> visits := (i, j) :: !visits; 0.0));
+  Alcotest.(check (list (pair int int)))
+    "init visits row-major" [ (0, 0); (0, 1); (0, 2); (1, 0); (1, 1); (1, 2) ] (List.rev !visits);
+  Alcotest.(check (array (array (float 0.0))))
+    "to_arrays round-trip" [| [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] |] (Matrix.to_arrays a)
+
 let random_spd g n =
   let b = Matrix.init n n (fun _ _ -> Prng.float g -. 0.5) in
   Matrix.add (Matrix.mul b (Matrix.transpose b)) (Matrix.scale 0.5 (Matrix.identity n))
@@ -636,6 +654,7 @@ let unit_cases =
     ("matrix mul identity", test_matrix_mul_identity);
     ("matrix mul known", test_matrix_mul_known);
     ("matrix transpose involution", test_matrix_transpose_involution);
+    ("matrix checks under the flat layout", test_matrix_checks);
     ("cholesky reconstruction", test_cholesky_reconstruction);
     ("cholesky rejects indefinite", test_cholesky_rejects_indefinite);
     ("linear solve", test_solve);
@@ -714,94 +733,39 @@ let eigen_cases =
 
 let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) eigen_cases
 
-(* --- Fvec kernels vs the historical float-array implementations --------- *)
+(* --- Fvec kernels vs the float-array folds they replaced ----------------- *)
 
-(* The refactor's correctness contract is bit-identity: every Fvec
-   kernel must reproduce the float-array implementation it replaced
-   exactly, including fold direction and tie-breaking, and must not
-   care whether the view is contiguous or strided.  Comparisons are on
-   the IEEE bit pattern, not within an epsilon. *)
+(* The correctness contract is bit-identity: every Fvec kernel must
+   reproduce the float-array fold it replaced exactly, and must read
+   only its own view.  Comparisons are on the IEEE bit pattern, not
+   within an epsilon. *)
 
 let bits = Int64.bits_of_float
 
 let check_bits msg a b = Alcotest.(check int64) msg (bits a) (bits b)
 
-(* Embed [xs] as a strided view of a larger poisoned buffer, so any
-   kernel that walks the wrong indices reads the poison and fails. *)
-let strided_of_array ~pad ~stride xs =
+(* Embed [xs] as a view at offset [pad] of a larger poisoned buffer, so
+   any kernel that walks outside its view reads the poison and fails. *)
+let view_of_array ~pad xs =
   let n = Array.length xs in
-  let v = Fvec.create (pad + (max 1 n * stride) + 3) in
-  Fvec.fill v 7.25e11;
-  Array.iteri (fun i x -> Fvec.set v (pad + (i * stride)) x) xs;
-  Fvec.strided v ~pos:pad ~len:n ~stride
-
-(* reference sqdist: the pre-refactor accumulation order *)
-let sqdist_ref a b =
-  let acc = ref 0.0 in
-  for i = 0 to Array.length a - 1 do
-    let d = a.(i) -. b.(i) in
-    acc := !acc +. (d *. d)
-  done;
-  !acc
+  let v = Fvec.init (pad + n + 3) (fun _ -> 7.25e11) in
+  Array.iteri (fun i x -> Fvec.set v (pad + i) x) xs;
+  Fvec.sub v pad n
 
 let fvec_view_gen =
   (* arrays through the interesting sizes (empty, singleton, longer),
-     every view embedded with a generated pad and stride *)
+     every view embedded at a generated pad *)
   QCheck.make
-    ~print:(fun (xs, pad, stride) ->
-      Printf.sprintf "pad=%d stride=%d [%s]" pad stride
-        (String.concat "; " (Array.to_list (Array.map string_of_float xs))))
+    ~print:(fun (xs, pad) ->
+      Printf.sprintf "pad=%d [%s]" pad (String.concat "; " (Array.to_list (Array.map string_of_float xs))))
     QCheck.Gen.(
-      triple
-        (array_size (int_bound 24) (float_bound_exclusive 1e6 >>= fun m -> return (m -. 5e5)))
-        (int_bound 3)
-        (int_range 1 4))
+      pair (array_size (int_bound 24) (float_bound_exclusive 1e6 >>= fun m -> return (m -. 5e5))) (int_bound 3))
 
 let fvec_qcheck_cases =
   let open QCheck in
   [
-    Test.make ~name:"fvec: sum/mean match Stats.mean_a bitwise" ~count:300 fvec_view_gen
-      (fun (xs, pad, stride) ->
-        let v = strided_of_array ~pad ~stride xs in
-        if Array.length xs = 0 then (
-          (try
-             ignore (Fvec.mean v);
-             false
-           with Invalid_argument _ -> true)
-          && bits (Fvec.sum v) = bits 0.0)
-        else bits (Fvec.mean v) = bits (Stats.mean_a xs));
-    Test.make ~name:"fvec: variance matches Stats.variance_a bitwise" ~count:300 fvec_view_gen
-      (fun (xs, pad, stride) ->
-        let v = strided_of_array ~pad ~stride xs in
-        bits (Fvec.variance v) = bits (Stats.variance_a xs));
-    Test.make ~name:"fvec: dot matches Matrix.dot bitwise" ~count:300
-      (pair fvec_view_gen fvec_view_gen)
-      (fun ((xs, pad1, stride1), (ys, pad2, stride2)) ->
-        let n = min (Array.length xs) (Array.length ys) in
-        let xs = Array.sub xs 0 n and ys = Array.sub ys 0 n in
-        let a = strided_of_array ~pad:pad1 ~stride:stride1 xs in
-        let b = strided_of_array ~pad:pad2 ~stride:stride2 ys in
-        bits (Fvec.dot a b) = bits (Matrix.dot xs ys));
-    Test.make ~name:"fvec: sqdist matches the array accumulation bitwise" ~count:300
-      (pair fvec_view_gen fvec_view_gen)
-      (fun ((xs, pad1, stride1), (ys, pad2, stride2)) ->
-        let n = min (Array.length xs) (Array.length ys) in
-        let xs = Array.sub xs 0 n and ys = Array.sub ys 0 n in
-        let a = strided_of_array ~pad:pad1 ~stride:stride1 xs in
-        let b = strided_of_array ~pad:pad2 ~stride:stride2 ys in
-        bits (Fvec.sqdist a b) = bits (sqdist_ref xs ys));
-    Test.make ~name:"fvec: argmax/argmin match Stats bitwise ties included" ~count:300 fvec_view_gen
-      (fun (xs, pad, stride) ->
-        let v = strided_of_array ~pad ~stride xs in
-        if Array.length xs = 0 then
-          try
-            ignore (Fvec.argmax v);
-            false
-          with Invalid_argument _ -> true
-        else Fvec.argmax v = Stats.argmax xs && Fvec.argmin v = Stats.argmin xs);
-    Test.make ~name:"fvec: minmax equals (minimum, maximum)" ~count:300 fvec_view_gen
-      (fun (xs, pad, stride) ->
-        let v = strided_of_array ~pad ~stride xs in
+    Test.make ~name:"fvec: minmax equals (minimum, maximum) folds" ~count:300 fvec_view_gen (fun (xs, pad) ->
+        let v = view_of_array ~pad xs in
         if Array.length xs = 0 then
           try
             ignore (Fvec.minmax v);
@@ -809,15 +773,10 @@ let fvec_qcheck_cases =
           with Invalid_argument _ -> true
         else begin
           let mn, mx = Fvec.minmax v in
-          bits mn = bits (Fvec.minimum v)
-          && bits mx = bits (Fvec.maximum v)
-          && bits mn = bits (Array.fold_left Float.min xs.(0) xs)
-          && bits mx = bits (Array.fold_left Float.max xs.(0) xs)
+          bits mn = bits (Array.fold_left Float.min xs.(0) xs) && bits mx = bits (Array.fold_left Float.max xs.(0) xs)
         end);
-    Test.make ~name:"fvec: of_array/to_array round-trip through strided views" ~count:300
-      fvec_view_gen
-      (fun (xs, pad, stride) ->
-        let v = strided_of_array ~pad ~stride xs in
+    Test.make ~name:"fvec: of_array/to_array round-trip through views" ~count:300 fvec_view_gen (fun (xs, pad) ->
+        let v = view_of_array ~pad xs in
         Fvec.to_array v = xs && Fvec.to_array (Fvec.of_array xs) = xs);
   ]
 
@@ -825,26 +784,34 @@ let fvec_qcheck_cases =
 let test_fvec_edges () =
   let empty = Fvec.create 0 in
   Alcotest.(check (array (float 0.0))) "to_array empty" [||] (Fvec.to_array empty);
-  check_bits "sum empty" 0.0 (Fvec.sum empty);
-  check_bits "variance empty" 0.0 (Fvec.variance empty);
-  (try
-     ignore (Fvec.mean empty);
-     Alcotest.fail "mean of empty must raise"
-   with Invalid_argument _ -> ());
-  let one = Fvec.of_array [| 3.5 |] in
-  check_bits "mean singleton" 3.5 (Fvec.mean one);
-  check_bits "variance singleton" 0.0 (Fvec.variance one);
-  Alcotest.(check int) "argmax singleton" 0 (Fvec.argmax one);
-  let mn, mx = Fvec.minmax one in
+  let mn, mx = Fvec.minmax (Fvec.of_array [| 3.5 |]) in
   check_bits "minmax singleton lo" 3.5 mn;
   check_bits "minmax singleton hi" 3.5 mx;
-  (* a strided view writes through to the shared buffer *)
+  (* a view writes through to the shared buffer *)
   let base = Fvec.of_array [| 0.; 1.; 2.; 3.; 4.; 5. |] in
-  let odd = Fvec.strided base ~pos:1 ~len:3 ~stride:2 in
-  Fvec.set odd 1 99.0;
+  let mid = Fvec.sub base 2 3 in
+  Fvec.set mid 1 99.0;
   check_bits "write through view" 99.0 (Fvec.get base 3)
+
+(* The kernels' one up-front range check is always on: a range that
+   escapes its buffer raises instead of reading past it. *)
+let test_fvec_range_check () =
+  let buf = Fvec.buffer (Fvec.create 4) in
+  let raises name ~off ~len =
+    Alcotest.check_raises name (Invalid_argument "probe: view range escapes the buffer") (fun () ->
+        Fvec.check_range buf ~off ~len "probe")
+  in
+  raises "tail escapes" ~off:2 ~len:3;
+  raises "negative offset" ~off:(-1) ~len:1;
+  raises "negative length" ~off:0 ~len:(-1);
+  raises "offset past the end" ~off:5 ~len:0;
+  Fvec.check_range buf ~off:0 ~len:4 "whole buffer";
+  Fvec.check_range buf ~off:4 ~len:0 "empty range at the end"
 
 let suite =
   suite
-  @ [ Alcotest.test_case "fvec edge cases" `Quick test_fvec_edges ]
+  @ [
+      Alcotest.test_case "fvec edge cases" `Quick test_fvec_edges;
+      Alcotest.test_case "fvec range check always on" `Quick test_fvec_range_check;
+    ]
   @ List.map QCheck_alcotest.to_alcotest fvec_qcheck_cases

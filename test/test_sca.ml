@@ -567,7 +567,7 @@ let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
    lives here, not in lib, so that lib carries one implementation. *)
 module Oracle = struct
   let log_likelihoods (t : Sca.Template.t) x =
-    let inv_cov = Mathkit.Fmat.to_matrix t.Sca.Template.inv_cov in
+    let inv_cov = t.Sca.Template.inv_cov in
     let d = float_of_int (Array.length x) in
     let const = -0.5 *. ((d *. log (2.0 *. Float.pi)) +. t.Sca.Template.log_det) in
     Array.map (fun mu -> const -. (0.5 *. Mathkit.Linalg.mahalanobis_sq ~inv_cov x mu)) t.Sca.Template.means

@@ -199,8 +199,8 @@ let profile_equal (a : Reveal.Campaign.profile) (b : Reveal.Campaign.profile) =
     x.Sca.Template.labels = y.Sca.Template.labels
     && Array.for_all2 float_bits_equal x.Sca.Template.means y.Sca.Template.means
     && Array.for_all2 float_bits_equal
-         (Mathkit.Matrix.to_arrays (Mathkit.Fmat.to_matrix x.Sca.Template.inv_cov))
-         (Mathkit.Matrix.to_arrays (Mathkit.Fmat.to_matrix y.Sca.Template.inv_cov))
+         (Mathkit.Matrix.to_arrays x.Sca.Template.inv_cov)
+         (Mathkit.Matrix.to_arrays y.Sca.Template.inv_cov)
     && Int64.equal (Int64.bits_of_float x.Sca.Template.log_det) (Int64.bits_of_float y.Sca.Template.log_det)
     && x.Sca.Template.pois = y.Sca.Template.pois
   in
