@@ -1430,7 +1430,10 @@ let monitor_cmd =
 (* --- trial / fuzz / reduce (triage) ---------------------------------------- *)
 
 let segmenter_arg =
-  let doc = "Segmenter mode: $(b,strict) (classic pipeline, failures raise) or $(b,resilient) (fault-tolerance stack)." in
+  let doc =
+    "Segmenter: $(b,strict) (window count must match exactly; a miscounted trace grades every coefficient Unknown) \
+     or $(b,resilient) (repairs miscounted bursts)."
+  in
   Arg.(
     value
     & opt (Arg.enum [ ("strict", Triage.Plan.Strict); ("resilient", Triage.Plan.Resilient) ]) Triage.Plan.Resilient

@@ -15,7 +15,7 @@ type config = {
 }
 
 val default : config
-(** [Leakage.default], 2 samples/cycle, noise sigma 0.35. *)
+(** [Leakage.default], 2 samples/cycle, noise sigma 0.17. *)
 
 val quiet : config
 (** Noise-free variant, used by unit tests and the figure benches. *)

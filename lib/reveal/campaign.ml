@@ -52,19 +52,12 @@ let load_profile = Profile_store.load
 
 (* --- per-trace attacks ---------------------------------------------------- *)
 
-(* The public per-trace entry points keep their [float array] shape —
-   the view refactor stops at these edges with an [of_array] each. *)
-let attack_samples prof ~samples ~noises =
-  match Grading.attack_strict prof ~samples:(Mathkit.Fvec.of_array samples) ~noises with
-  | Ok results -> results
-  | Error e -> failwith (Pipeline.error_to_string e)
-
+(* The public per-trace entry point keeps its [float array] shape —
+   the view refactor stops at this edge with an [of_array]. *)
 let attack_trace prof (run : Device.run) =
-  attack_samples prof ~samples:run.Device.trace.Power.Ptrace.samples ~noises:run.Device.noises
-
-let attack_samples_resilient ?gate ?retry ?obs prof ~samples ~noises =
-  let retry = Option.map (fun f attempt -> Mathkit.Fvec.of_array (f attempt)) retry in
-  Grading.attack_resilient ?gate ?retry ?obs prof ~samples:(Mathkit.Fvec.of_array samples) ~noises
+  Grading.attack_resilient ~segmenter:Pipeline.strict_segmenter prof
+    ~samples:(Mathkit.Fvec.of_array run.Device.trace.Power.Ptrace.samples)
+    ~noises:run.Device.noises
 
 (* --- aggregate statistics ------------------------------------------------- *)
 
@@ -143,18 +136,6 @@ let stats_of_results ?(corrupt_skipped = 0) prof results =
 
 (* --- the driver ----------------------------------------------------------- *)
 
-type mode = Classic | Resilient of gate
-
-let attack_acquired ~obs ~ctx mode prof (a : Pipeline.acquired) =
-  match mode with
-  | Classic -> (
-      match Grading.attack_strict ~ctx ~obs prof ~samples:a.Pipeline.samples ~noises:a.Pipeline.noises with
-      | Ok results -> results
-      | Error e -> failwith (Pipeline.error_to_string e))
-  | Resilient gate ->
-      Grading.attack_resilient ~gate ~ctx ?retry:a.Pipeline.remeasure ~obs prof
-        ~samples:a.Pipeline.samples ~noises:a.Pipeline.noises
-
 (* Final campaign aggregates exported as gauges, so an obs trace is a
    complete run record on its own: the summarize path reads these
    without re-running the tally. *)
@@ -186,7 +167,7 @@ let export_stats obs stats results =
    without touching the hot path: the batch has already been tallied
    when the heartbeat fires. *)
 let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.default_batch)
-    ?(mode = Resilient Grading.default_gate) prof source =
+    ?segmenter ?gate prof source =
   if batch <= 0 then invalid_arg "Campaign.run_source: batch must be positive";
   let tally = tally_create prof in
   let corrupt = ref 0 in
@@ -227,7 +208,9 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
                     Mathkit.Parallel.map_array_with ?domains
                       ~scratch:(fun () -> Grading.make_ctx prof)
                       (fun ctx (it : Pipeline.item) ->
-                        attack_acquired ~obs ~ctx mode prof (it.Pipeline.acquire ()))
+                        let a = it.Pipeline.acquire () in
+                        Grading.attack_resilient ?gate ~ctx ?segmenter ?retry:a.Pipeline.remeasure ~obs
+                          prof ~samples:a.Pipeline.samples ~noises:a.Pipeline.noises)
                       items)
               in
               Obs.Ctx.span obs "stage.tally" (fun () -> Array.iter (tally_add tally) per_item);
@@ -242,7 +225,7 @@ let run_source ?(obs = Obs.Ctx.disabled) ?expected ?domains ?(batch = Constants.
 
 let run_attacks ?obs ?domains prof device ~traces ~scope_rng ~sampler_rng =
   let source = Source.device_live device ~traces ~scope_rng ~sampler_rng in
-  run_source ?obs ?domains ~batch:(max 1 traces) ~mode:Classic prof source
+  run_source ?obs ?domains ~batch:(max 1 traces) ~segmenter:Pipeline.strict_segmenter prof source
 
 (* Live campaign with the full fault-tolerance stack: resilient
    segmentation, confidence gating, and a bounded re-measurement
@@ -252,10 +235,9 @@ let run_attacks ?obs ?domains prof device ~traces ~scope_rng ~sampler_rng =
    The retry stream is carved from a separate generator, so a campaign
    that needs no retries consumes its randomness exactly like
    [run_attacks] and yields bit-identical verdicts. *)
-let run_attacks_resilient ?obs ?domains ?(gate = Grading.default_gate) prof device ~traces ~scope_rng
-    ~sampler_rng =
+let run_attacks_resilient ?obs ?domains ?gate prof device ~traces ~scope_rng ~sampler_rng =
   let source = Source.device_live ~retry:true device ~traces ~scope_rng ~sampler_rng in
-  run_source ?obs ?domains ~batch:(max 1 traces) ~mode:(Resilient gate) prof source
+  run_source ?obs ?domains ~batch:(max 1 traces) ?gate prof source
 
 (* Re-attack a recorded campaign: records stream through in batches
    ([batch] traces resident at a time), classification parallelised
@@ -264,8 +246,6 @@ let run_attacks_resilient ?obs ?domains ?(gate = Grading.default_gate) prof devi
    and the replay continues at the next frame boundary; [~strict:true]
    restores fail-fast.  Replay has no device to re-measure on, so
    Unknown-graded coefficients come back [Unrecoverable]. *)
-let attack_archive ?obs ?domains ?(batch = Constants.default_batch) ?(gate = Grading.default_gate)
-    ?(strict = false) prof path =
+let attack_archive ?obs ?domains ?(batch = Constants.default_batch) ?gate ?(strict = false) prof path =
   if batch <= 0 then invalid_arg "Campaign.attack_archive: batch must be positive";
-  run_source ?obs ?domains ~batch ~mode:(Resilient gate) prof
-    (Source.archive_replay ~strict ?obs path)
+  run_source ?obs ?domains ~batch ?gate prof (Source.archive_replay ~strict ?obs path)

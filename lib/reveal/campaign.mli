@@ -3,11 +3,12 @@
     This module is the composition root of the staged pipeline: the
     historical entry points ({!run_attacks}, {!attack_archive}, …) are
     thin wrappers that pick a {!Pipeline.source}, a segmenter and a
-    grading mode and hand them to the one generic driver,
-    {!run_source}.  The stages themselves live in {!Profiling}
-    (template building), {!Profile_store} (cache v3), {!Grading}
-    (gate + retry ladder) and {!Source} (live / archive / synthetic);
-    their types are re-exported here under their historical names.
+    gate and hand them to the one generic driver, {!run_source}, which
+    grades every trace through {!Grading.attack_resilient}.  The stages
+    themselves live in {!Profiling} (template building),
+    {!Profile_store} (cache v3), {!Grading} (gate + retry ladder) and
+    {!Source} (live / archive / synthetic); their types are re-exported
+    here under their historical names.
 
     The paper's sizes are 220 000 profiling runs and 25 000 attacked
     coefficients; the default here is scaled down (the shapes are
@@ -154,23 +155,11 @@ val hint_of_result : sigma:float -> coordinate:int -> coefficient_result -> Hint
 (** {!Grading.hint_of_result}: the hint-degradation ladder. *)
 
 val attack_trace : profile -> Device.run -> coefficient_result array
-(** Segment one honest trace (strict segmenter) and classify every
-    coefficient.
-    @raise Failure when segmentation finds a window count different
-    from the device's coefficient count. *)
-
-val attack_samples_resilient :
-  ?gate:gate ->
-  ?retry:(int -> float array) ->
-  ?obs:Obs.Ctx.t ->
-  profile ->
-  samples:float array ->
-  noises:int array ->
-  coefficient_result array
-(** {!Grading.attack_resilient}: fault-tolerant single-trace attack —
-    resilient segmentation, per-window confidence grading, and — when
-    [retry] is provided — a bounded re-measurement loop.  On a clean
-    trace the verdicts are bit-identical to {!attack_trace}. *)
+(** Segment one honest trace with {!Pipeline.strict_segmenter} and
+    grade every coefficient ({!Grading.attack_resilient}, default
+    gate, no retries).  A trace whose window count differs from the
+    device's coefficient count grades every coefficient
+    [Unknown]/[Unrecoverable]; it does not raise. *)
 
 (** {1 Campaign drivers} *)
 
@@ -194,16 +183,13 @@ val stats_of_results : ?corrupt_skipped:int -> profile -> coefficient_result arr
     concatenating per-shard result slices in trace order and
     re-tallying here is bit-identical to the single-process run. *)
 
-type mode =
-  | Classic  (** strict segmentation, no gating or retries; failures raise *)
-  | Resilient of gate  (** the fault-tolerance stack *)
-
 val run_source :
   ?obs:Obs.Ctx.t ->
   ?expected:int ->
   ?domains:int ->
   ?batch:int ->
-  ?mode:mode ->
+  ?segmenter:Pipeline.segmenter ->
+  ?gate:gate ->
   profile ->
   Pipeline.source ->
   stats * coefficient_result array
@@ -212,8 +198,11 @@ val run_source :
     the source, attack them in parallel over [domains] worker domains,
     tally in item order, repeat to exhaustion.  A [`Skip]ped source
     record counts toward the batch budget and [stats.corrupt_skipped].
-    The source is closed on exit, also on exceptions.  [mode] defaults
-    to [Resilient default_gate].
+    The source is closed on exit, also on exceptions.  Every item goes
+    through {!Grading.attack_resilient} with [segmenter] (default
+    {!Pipeline.resilient_segmenter}), [gate] (default {!default_gate})
+    and the item's own re-measurement thunk, so a trace the segmenter
+    cannot cut grades [Unknown] instead of aborting the campaign.
 
     With an enabled [obs] context the whole run is one [campaign.run]
     span containing a [campaign.batch] span per batch (fan-out) and a
@@ -240,9 +229,10 @@ val run_attacks :
   scope_rng:Mathkit.Prng.t ->
   sampler_rng:Mathkit.Prng.t ->
   stats * coefficient_result array
-(** Repeated single-trace attacks ({!Source.device_live} through
-    [Classic] mode); returns aggregate statistics and the flattened
-    per-coefficient results (for hint building). *)
+(** Repeated single-trace attacks ({!Source.device_live} through the
+    strict segmenter and the default gate, no retries); returns
+    aggregate statistics and the flattened per-coefficient results
+    (for hint building). *)
 
 val run_attacks_resilient :
   ?obs:Obs.Ctx.t ->
@@ -255,8 +245,8 @@ val run_attacks_resilient :
   sampler_rng:Mathkit.Prng.t ->
   stats * coefficient_result array
 (** {!run_attacks} through the fault-tolerance stack
-    ({!Source.device_live} with [~retry:true] through [Resilient]
-    mode): Unknown-graded coefficients are re-measured on the live
+    ({!Source.device_live} with [~retry:true], resilient segmenter,
+    [gate]): Unknown-graded coefficients are re-measured on the live
     device within the gate's retry budget.  Retries draw from a
     separate generator stream, so a campaign that needs none consumes
     randomness exactly like {!run_attacks} and yields bit-identical
@@ -272,7 +262,7 @@ val attack_archive :
   string ->
   stats * coefficient_result array
 (** Re-attack a recorded campaign (see {!Device.record}) offline:
-    {!Source.archive_replay} through [Resilient] mode — the same
+    {!Source.archive_replay} through the resilient segmenter — the same
     aggregates as {!run_attacks}, and bit-identical results for the
     runs the archive holds, with memory bounded by one batch instead
     of the whole trace set.  A mid-stream record that fails its CRC is

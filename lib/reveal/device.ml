@@ -31,14 +31,7 @@ let create ?(variant = Riscv.Sampler_prog.Vulnerable) ?(synth = Power.Synth.defa
 let n t = t.n
 let variant t = t.variant
 let moduli t = Array.copy t.moduli
-let synth_config t = t.synth
-
-let with_synth t synth =
-  (* the firmware is unchanged; only the scope differs *)
-  { t with synth }
-
 let with_fault t fault = { t with fault }
-let fault_config t = t.fault
 
 type run = {
   trace : Power.Ptrace.t;
@@ -180,8 +173,6 @@ let open_replay ?expect path =
         raise exn)
   | None -> ());
   reader
-
-let replay_header = Traceio.Archive.header
 
 (* A replayed run carries everything the attack consumes (trace +
    ground-truth labels); the firmware's memory image is not archived,

@@ -28,14 +28,8 @@ val create :
 val n : t -> int
 val variant : t -> Riscv.Sampler_prog.variant
 val moduli : t -> int array
-val synth_config : t -> Power.Synth.config
-val with_synth : t -> Power.Synth.config -> t
-(** Same firmware, different scope settings (noise sweeps). *)
-
 val with_fault : t -> Power.Fault.config option -> t
 (** Same firmware and scope, different acquisition-fault load. *)
-
-val fault_config : t -> Power.Fault.config option
 
 type run = {
   trace : Power.Ptrace.t;
@@ -105,13 +99,10 @@ val open_replay : ?expect:t -> string -> replay
     @raise Invalid_argument on a parameter mismatch.
     @raise Traceio.Error.Corrupt on a damaged archive. *)
 
-val replay_header : replay -> Traceio.Archive.header
-val replay_next : replay -> run option
-(** Next archived run.  [poly] is empty: the archive stores what the
-    scope saw and the ground truth, not the firmware's memory image. *)
-
-val close_replay : replay -> unit
 val replay_iter : ?expect:t -> string -> f:(run -> unit) -> unit
+(** Open, stream every archived run through [f], close.  [poly] is
+    empty: the archive stores what the scope saw and the ground truth,
+    not the firmware's memory image. *)
 
 val of_header : ?synth:Power.Synth.config -> ?cycle_model:(Riscv.Inst.klass -> int) -> Traceio.Archive.header -> t
 (** A clone device matching an archive's parameters — what offline

@@ -215,34 +215,11 @@ let hint_of_result ~sigma ~coordinate r =
 
 let null_verdict = { Sca.Attack.sign = 0; value = 0; posterior = [| (0, 1.0) |] }
 
-(* --- strict (classic) attack ---------------------------------------------- *)
+(* --- the per-trace attack -------------------------------------------------- *)
 
-let attack_strict ?classifier ?ctx ?(obs = Obs.Ctx.disabled) prof ~samples ~noises =
-  let insts = instruments obs in
-  let ctx = match ctx with Some c -> c | None -> make_ctx ?classifier prof in
-  let count = Array.length noises in
-  match
-    Obs.Ctx.span obs "stage.segment" (fun () ->
-        Pipeline.run_segmenter Pipeline.strict_segmenter prof ~count samples)
-  with
-  | Error _ as e -> e
-  | Ok seg ->
-      Ok
-        (Obs.Ctx.span obs "stage.classify" (fun () ->
-             Array.mapi
-               (fun i window ->
-                 let verdict, posterior_all, grade =
-                   classify_graded_i ~ctx ~insts prof default_gate
-                     ~quality:seg.Pipeline.quality.(i) window
-                 in
-                 { actual = noises.(i); verdict; posterior_all; grade; recovery = Clean })
-               seg.Pipeline.vectors))
-
-(* --- fault-tolerant attack ------------------------------------------------- *)
-
-(* Resilient segmentation of one trace: exactly count+1 windows (the
-   firmware's trailing dummy included) or a typed error, with the
-   per-window quality feeding the grade gate. *)
+(* Segment one trace into exactly [count] windows (strict or resilient,
+   the trailing dummy dropped) or a typed error, with the per-window
+   quality feeding the grade gate. *)
 let graded_windows ~ctx ?(segmenter = Pipeline.resilient_segmenter) ~obs ~insts prof gate
     ~count samples =
   match

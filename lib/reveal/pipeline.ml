@@ -11,24 +11,17 @@ type profile = {
 type error =
   | Window_count of { expected : int; found : int }
   | Segmentation of Sca.Segment.segment_error
-  | Corrupt_record of string
-  | Io of string
 
 let error_to_string = function
   | Window_count { expected; found } ->
-      (* the historical message of the strict attack path — tests and
-         scripts match on it *)
       Printf.sprintf "Campaign: segmentation found %d windows for %d coefficients" found expected
   | Segmentation e -> Sca.Segment.error_to_string e
-  | Corrupt_record msg -> Printf.sprintf "corrupt record: %s" msg
-  | Io msg -> msg
 
 (* --- classifier stage ----------------------------------------------------- *)
 
 type classifier = Classifier : (module Sca.Classifier.S with type t = 'c) * 'c -> classifier
 
 let classifier_of_profile prof = Classifier ((module Sca.Classifier.Template), prof.attack)
-let classifier_name (Classifier ((module C), _)) = C.name
 
 (* --- segmenter stage ------------------------------------------------------ *)
 
@@ -99,7 +92,6 @@ end
 
 type source = Source : (module SOURCE with type t = 's) * 's -> source
 
-let source_name (Source ((module S), _)) = S.name
 let next_item (Source ((module S), s)) = S.next s
 let close_source (Source ((module S), s)) = S.close s
 

@@ -10,9 +10,9 @@
     to per-coefficient window vectors), {!classifier} (window vector
     to verdict/posterior/fit).  The grader lives in {!Grading}, the
     drivers composing the stages in {!Campaign}, and the hint/lattice
-    sink in {!Sink}.  A single {!error} type carries every way a stage
-    can fail, so failure policy (skip, retry, abort) is decided by the
-    driver, not deep inside a stage. *)
+    sink in {!Sink}.  A segmenter reports failure as a typed {!error},
+    so failure policy (grade Unknown and retry, or abort profiling) is
+    decided by the caller, not deep inside a stage. *)
 
 type profile = {
   attack : Sca.Attack.t;
@@ -38,14 +38,9 @@ type error =
           coefficients + 1 (trailing dummy) *)
   | Segmentation of Sca.Segment.segment_error
       (** the resilient segmenter could not repair the trace *)
-  | Corrupt_record of string  (** a source produced an undecodable record *)
-  | Io of string
 
 val error_to_string : error -> string
-(** Renders [Window_count] as the historical
-    ["Campaign: segmentation found %d windows for %d coefficients"]
-    message — callers that must keep raising [Failure] with the legacy
-    text feed this through [failwith]. *)
+(** One-line rendering for diagnostics. *)
 
 (** {1 Classifier stage}
 
@@ -58,7 +53,6 @@ val error_to_string : error -> string
 type classifier = Classifier : (module Sca.Classifier.S with type t = 'c) * 'c -> classifier
 
 val classifier_of_profile : profile -> classifier
-val classifier_name : classifier -> string
 
 (** {1 Segmenter stage} *)
 
@@ -86,7 +80,8 @@ type segmenter = (module SEGMENTER)
 
 val strict_segmenter : segmenter
 (** Window count must match exactly; every window is [Clean].  The
-    classic pipeline. *)
+    paper's pipeline: a miscounted trace is a [Window_count] error,
+    which {!Grading.attack_resilient} grades [Unknown]. *)
 
 val resilient_segmenter : segmenter
 (** {!Sca.Segment.segment}: repairs miscounted bursts and reports
@@ -128,7 +123,6 @@ end
 
 type source = Source : (module SOURCE with type t = 's) * 's -> source
 
-val source_name : source -> string
 val next_item : source -> [ `Item of item | `Skip of string | `End ]
 val close_source : source -> unit
 

@@ -24,27 +24,9 @@ let variant_to_string = function
   | Riscv.Sampler_prog.Shuffled -> "shuffled"
   | Riscv.Sampler_prog.Cdt_table -> "cdt"
 
-let variant_of_string = function
-  | "v32" -> Some Riscv.Sampler_prog.Vulnerable
-  | "v36" -> Some Riscv.Sampler_prog.Branchless
-  | "shuffled" -> Some Riscv.Sampler_prog.Shuffled
-  | "cdt" -> Some Riscv.Sampler_prog.Cdt_table
-  | _ -> None
-
 let gate_to_string = function Default -> "default" | Aggressive -> "aggressive" | Paranoid -> "paranoid"
 
-let gate_of_string = function
-  | "default" -> Some Default
-  | "aggressive" -> Some Aggressive
-  | "paranoid" -> Some Paranoid
-  | _ -> None
-
 let segmenter_to_string = function Strict -> "strict" | Resilient -> "resilient"
-
-let segmenter_of_string = function
-  | "strict" -> Some Strict
-  | "resilient" -> Some Resilient
-  | _ -> None
 
 (* The sampling space.  n is pinned: profiling needs every candidate
    value to appear twice per run (n >= 58 for the 29-value table), and

@@ -51,12 +51,9 @@ val repro_command : ?archive:string -> exe:string -> trial -> string
 
 val to_json : trial -> Obs.Json.t
 
-(** {1 Field codecs} — shared by the CLI flags and the signature
-    format, so the two can never drift. *)
+(** {1 Field renderings} — shared by {!describe}, the repro line and
+    the signature format, so the three can never drift. *)
 
 val variant_to_string : Riscv.Sampler_prog.variant -> string
-val variant_of_string : string -> Riscv.Sampler_prog.variant option
 val gate_to_string : gate_profile -> string
-val gate_of_string : string -> gate_profile option
 val segmenter_to_string : segmenter -> string
-val segmenter_of_string : string -> segmenter option

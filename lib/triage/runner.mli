@@ -8,18 +8,12 @@
     reproduce; in replay an Unknown coefficient is always
     [Unrecoverable], consistently on both sides.) *)
 
-val gate_of : Plan.gate_profile -> Reveal.Grading.gate
-
-val effective_profile : Plan.gate_profile -> Reveal.Campaign.profile -> Reveal.Campaign.profile
-(** [Aggressive] disables the profile's goodness-of-fit floors (its
-    scenario is a pipeline without its out-of-distribution tripwire);
-    the others return the profile unchanged. *)
-
 val profile_for : Plan.trial -> Reveal.Campaign.profile
 (** Build the trial's templates: fault-free clone device, seeded by
     the trial seed alone — any process rebuilds them bit-identically
-    from the trial row.  Already passed through
-    {!effective_profile}. *)
+    from the trial row.  Under the [Aggressive] gate profile the
+    goodness-of-fit floors are disabled (its scenario is a pipeline
+    without its out-of-distribution tripwire). *)
 
 val record_archive : Plan.trial -> path:string -> unit
 (** Capture the trial's faulted campaign ([traces] honest runs under
@@ -31,8 +25,9 @@ val attack :
   Reveal.Campaign.profile ->
   archive:string ->
   Reveal.Campaign.stats * Reveal.Campaign.coefficient_result array
-(** Replay the attack over an archive in the trial's mode (strict
-    segmenter = Classic, resilient = gated).  Single-domain: trials
+(** Replay the attack over an archive with the trial's segmenter and
+    gate profile.  A trace the strict segmenter cannot cut grades
+    [Unknown]; it does not raise.  Single-domain: trials
     parallelise across orchestrator workers, not within.  [obs]
     threads into the campaign driver (heartbeats and stage spans) —
     the flight recorder's feed. *)
@@ -41,7 +36,7 @@ val measure : ?obs:Obs.Ctx.t -> Plan.trial -> Reveal.Campaign.profile -> archive
 (** {!attack} plus the invariant checks (grade-count accounting,
     correct-vs-total bounds, result-array length, and — for
     zero-intensity resilient/default trials — bit-identity with the
-    classic pipeline).  Violated invariants land in
+    strict segmenter).  Violated invariants land in
     [m_violations] as stable identifiers. *)
 
 val run : ?obs:Obs.Ctx.t -> ?archive:string -> Plan.trial -> Verdict.measurements

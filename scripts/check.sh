@@ -273,6 +273,19 @@ if sh -c "$repro" > "$tmp/repro.out"; then
 fi
 grep -q "verdict: misgrade" "$tmp/repro.out"
 
+echo "== smoke: trial — a strict-segmenter trial ends in a verdict, never an exception =="
+# a faulted v36 trace the strict segmenter cannot cut (71 bursts for 64
+# coefficients) grades Unknown; the trial must exit 0 or 1 with its
+# verdict line, never 125 from an uncaught exception
+strict_trial="--variant v36 --intensity 1 --seed 821678 --segmenter strict --gate aggressive --traces 1 --per-value 24"
+rc=0
+dune exec bin/reveal_cli.exe -- trial $strict_trial > "$tmp/strict-trial.out" || rc=$?
+if [ "$rc" -ne 0 ] && [ "$rc" -ne 1 ]; then
+  echo "trial: strict segmenter exited $rc (expected 0 or 1)" >&2
+  exit 1
+fi
+grep -q "^verdict: " "$tmp/strict-trial.out"
+
 echo "== bench: perf snapshot written, regressions diffed against the previous run =="
 # the bench harness writes bench_out/BENCH_perf.json and warns when a
 # kernel regressed vs the rotated previous snapshot; under

@@ -325,8 +325,8 @@ let suite = suite @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
 
 (* --- fault tolerance ----------------------------------------------------- *)
 
-(* Satellite regression: at fault intensity 0 the resilient pipeline is
-   bit-identical to the classic one — same verdicts, same bikz. *)
+(* At fault intensity 0 the resilient pipeline is bit-identical to the
+   strict one — same verdicts, same bikz. *)
 let test_fault_zero_consistency () =
   let zc = Reveal.Experiment.fault_zero_consistency small_config in
   Alcotest.(check bool) "attacked something" true (zc.Reveal.Experiment.coefficients > 0);
@@ -349,8 +349,44 @@ let test_fault_sweep_deterministic () =
   let sweep () = Reveal.Experiment.fault_sweep ~intensities:[| 0.8 |] small_config in
   Alcotest.(check bool) "same seed, same rows" true (sweep () = sweep ())
 
+(* A trace cut mid-capture has too few bursts for the strict
+   segmenter.  That is a graded outcome, not an exception: every
+   coefficient comes back Unknown/Unrecoverable, through the campaign
+   driver and through the per-trace entry point alike. *)
+let test_strict_cut_trace_grades_unknown () =
+  let prof = Reveal.Experiment.env_profile (Lazy.force env) in
+  let g = rng () in
+  let n = 64 in
+  let device = Reveal.Device.create ~n () in
+  let run = Reveal.Device.run_gaussian device ~scope_rng:g ~sampler_rng:g in
+  let samples = run.Reveal.Device.trace.Power.Ptrace.samples in
+  let cut =
+    {
+      run with
+      Reveal.Device.trace =
+        { run.Reveal.Device.trace with Power.Ptrace.samples = Array.sub samples 0 (Array.length samples / 2) };
+    }
+  in
+  let all_unknown what results =
+    Alcotest.(check int) (what ^ ": one result per coefficient") n (Array.length results);
+    Array.iter
+      (fun r ->
+        Alcotest.(check bool) (what ^ ": Unknown") true (r.Reveal.Campaign.grade = Reveal.Campaign.Unknown);
+        Alcotest.(check bool) (what ^ ": Unrecoverable") true
+          (r.Reveal.Campaign.recovery = Reveal.Campaign.Unrecoverable))
+      results
+  in
+  let stats, results =
+    Reveal.Campaign.run_source ~domains:1 ~segmenter:Reveal.Pipeline.strict_segmenter prof
+      (Reveal.Source.of_runs ~name:"cut" [| cut |])
+  in
+  all_unknown "run_source" results;
+  Alcotest.(check int) "every coefficient tallied" n stats.Reveal.Campaign.sign_total;
+  all_unknown "attack_trace" (Reveal.Campaign.attack_trace prof cut)
+
 let fault_cases =
   [
+    ("fault: strict segmenter grades a cut trace Unknown", test_strict_cut_trace_grades_unknown);
     ("fault: zero intensity = clean pipeline", test_fault_zero_consistency);
     ("fault: sweep invariants", test_fault_sweep_invariants);
     ("fault: sweep deterministic", test_fault_sweep_deterministic);
